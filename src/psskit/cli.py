@@ -358,7 +358,10 @@ def cmd_generate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     env_limit = os.environ.get("PSSKIT_MAX_SIZE")
-    default_limit = int(env_limit) if env_limit else DEFAULT_MAX_SIZE
+    try:
+        default_limit = int(env_limit) if env_limit else DEFAULT_MAX_SIZE
+    except ValueError:
+        raise CliInputError(f"PSSKIT_MAX_SIZE must be an integer, got {env_limit!r}")
 
     parser = argparse.ArgumentParser(
         prog="psskit",
@@ -410,9 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CliInputError as exc:
         sys.stderr.write(f"error: {exc}\n")

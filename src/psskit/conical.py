@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import PreconditionError, PropertyViolation
 from .ratlin import QVec, column_rank, solve_nonneg, strict_separator
 from .simplicial import enumerate_simplices, is_simplex as simplex_structure
-from .spanset import VecSet, extract_positive_basis, is_positive_basis, is_pss
+from .spanset import VecSet, _memoized, extract_positive_basis, is_positive_basis, is_pss
 
 _ONE = Fraction(1)
 
@@ -91,6 +91,7 @@ def _scaled_extension(z: QVec, x: QVec) -> QVec | None:
     return None
 
 
+@_memoized
 def enumerate_mns(X: VecSet) -> list[ConeFrame]:
     """All maximal negatively independent subsets, canonically ordered.
 

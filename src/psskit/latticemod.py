@@ -10,7 +10,7 @@ simplices of X, bijectively when X is a positive basis.
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .simplicial import Simplex, enumerate_simplices
+from .simplicial import Simplex, enumerate_simplices, positively_spanning_subsets
 from .spanset import VecSet, is_pss
 
 
@@ -62,12 +62,8 @@ class SpanLattice:
     def meet(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:
         """Union of the simplices contained in the intersection."""
         a, b = self._require(a), self._require(b)
-        common = set(a.subset) & set(b.subset)
-        ids = [
-            j
-            for j in range(len(self.all_simplices))
-            if set(self.all_simplices[j].members) <= common
-        ]
+        # a simplex lies in the intersection iff it lies in both elements
+        ids = [j for j in a.simplices if j in b.simplices]
         return self._from_simplex_ids(ids)
 
     def join(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:
@@ -94,28 +90,19 @@ class SpanLattice:
 def build_lattice(X: VecSet) -> SpanLattice:
     """Enumerate every positively spanning subset of X.
 
-    Generates the union of each subset of the simplex list and
-    deduplicates; for a positive basis the map is injective, so the
-    lattice has exactly 2^(number of simplices) elements.
+    The members are the unions of simplices, collected by
+    :func:`positively_spanning_subsets`; each is listed with the simplices
+    it contains.  For a positive basis the map to simplex sets is
+    injective, so the lattice has exactly 2^(number of simplices) elements.
     """
     if not is_pss(X):
         raise PreconditionError("set does not positively span its hull")
     simplices = enumerate_simplices(X)
-    n = len(simplices)
-    members: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for picks in range(1 << n):
-        union: set[int] = set()
-        for j in range(n):
-            if picks >> j & 1:
-                union.update(simplices[j].members)
-        key = tuple(sorted(union))
-        if key not in members:
-            ids = tuple(
-                j for j in range(n) if set(simplices[j].members) <= set(key)
-            )
-            members[key] = ids
-    elements = [
-        LatticeElement(subset, ids)
-        for subset, ids in sorted(members.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    ]
+    elements = []
+    for subset in positively_spanning_subsets(X):
+        members = set(subset)
+        ids = tuple(
+            j for j, s in enumerate(simplices) if members.issuperset(s.members)
+        )
+        elements.append(LatticeElement(subset, ids))
     return SpanLattice(X, simplices, elements)

@@ -16,6 +16,7 @@ from .errors import PreconditionError, PropertyViolation
 from .ratlin import QVec, column_rank, kernel_basis, solve_linear, solve_nonneg
 from .spanset import (
     VecSet,
+    _memoized,
     in_rint_positive_span,
     is_positive_basis,
     is_pss,
@@ -86,14 +87,14 @@ class SwapReport:
     neg_outside_skeleton: bool
 
 
-def is_simplex(S: VecSet) -> Simplex | None:
-    """The simplex structure of S, or None.
+def _simplex_on(X: VecSet, sub: tuple[int, ...]) -> Simplex | None:
+    """The simplex on the members ``sub`` of X, or None.
 
-    S is a simplex exactly when its kernel is one-dimensional with a
+    ``sub`` is a simplex exactly when its kernel is one-dimensional with a
     representative that is nonzero and of one sign in every coordinate;
     this is equivalent to minimality of the positive zero-combination.
     """
-    kern = kernel_basis(S.matrix())
+    kern = kernel_basis(X.matrix(sub))
     if len(kern) != 1:
         return None
     v = list(kern[0])
@@ -104,10 +105,15 @@ def is_simplex(S: VecSet) -> Simplex | None:
     if any(c < 0 for c in v):
         return None
     lead = v[0]
-    dep = {i: v[i] / lead for i in S.indices()}
-    return Simplex(tuple(S.indices()), dep)
+    return Simplex(sub, {i: c / lead for i, c in zip(sub, v)})
 
 
+def is_simplex(S: VecSet) -> Simplex | None:
+    """The simplex structure of S as a whole, or None."""
+    return _simplex_on(S, tuple(S.indices()))
+
+
+@_memoized
 def enumerate_simplices(X: VecSet) -> SimplexSet:
     """All simplex subsets of X, in canonical member order.
 
@@ -119,21 +125,9 @@ def enumerate_simplices(X: VecSet) -> SimplexSet:
     found: list[Simplex] = []
     for k in range(2, min(n, r + 1) + 1):
         for sub in combinations(range(n), k):
-            if column_rank(X.columns(sub)) != k - 1:
-                continue
-            kern = kernel_basis(X.matrix(sub))
-            if len(kern) != 1:
-                continue
-            v = list(kern[0])
-            if any(c == 0 for c in v):
-                continue
-            if v[0] < 0:
-                v = [-c for c in v]
-            if any(c < 0 for c in v):
-                continue
-            lead = v[0]
-            dep = {sub[j]: v[j] / lead for j in range(k)}
-            found.append(Simplex(sub, dep))
+            simplex = _simplex_on(X, sub)
+            if simplex is not None:
+                found.append(simplex)
     found.sort(key=lambda s: s.members)
     return found
 
@@ -142,18 +136,14 @@ def positively_spanning_subsets(X: VecSet) -> list[tuple[int, ...]]:
     """All subsets of X that positively span a linear subspace.
 
     These are exactly the unions of simplex subsets (the empty union gives
-    the empty set spanning the null space), which is far cheaper than
-    testing all subsets.
+    the empty set spanning the null space), collected as the union closure
+    of the simplices: O(simplices * subsets found) set unions.
     """
-    simplices = enumerate_simplices(X)
-    seen: set[tuple[int, ...]] = set()
-    for picks in range(1 << len(simplices)):
-        members: set[int] = set()
-        for j in range(len(simplices)):
-            if picks >> j & 1:
-                members.update(simplices[j].members)
-        seen.add(tuple(sorted(members)))
-    return sorted(seen, key=lambda t: (len(t), t))
+    unions = {frozenset()}
+    for s in enumerate_simplices(X):
+        members = s.member_set()
+        unions |= {u | members for u in unions}
+    return sorted((tuple(sorted(u)) for u in unions), key=lambda t: (len(t), t))
 
 
 def factorization_condition(

@@ -7,10 +7,13 @@ and core of the positive span, and perform support reduction of positive
 combinations down to at most ``rank`` many vectors.
 
 All functions are pure; every witness they return reconstructs exactly.
+As a structure of a set (rank, verdicts, simplices, frames) depends on the
+set alone, it is computed once per :class:`VecSet` and kept in its memo.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 
 from .errors import (
     DimensionMismatchError,
@@ -60,6 +63,8 @@ class VecSet:
             seen[v.entries] = i
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "vectors", vectors)
+        # not a dataclass field: equality, hashing and repr ignore it
+        object.__setattr__(self, "_memo", {})
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -84,7 +89,10 @@ class VecSet:
         return [list(self.vectors[i]) for i in idx]
 
     def subset(self, indices) -> "VecSet":
-        return VecSet(self.dim, [self.vectors[i] for i in indices])
+        idx = list(indices)
+        if idx == list(self.indices()):
+            return self  # the same set, sharing its memo
+        return VecSet(self.dim, [self.vectors[i] for i in idx])
 
     def index_of(self, v: QVec) -> int | None:
         for i, w in enumerate(self.vectors):
@@ -93,7 +101,28 @@ class VecSet:
         return None
 
     def rank(self, indices=None) -> int:
+        if indices is None:
+            return _full_rank(self)
         return column_rank(self.columns(indices))
+
+
+def _memoized(fn):
+    """Compute ``fn(X)`` once per set; lists go out as copies callers may edit."""
+    key = f"{fn.__module__}.{fn.__qualname__}"  # a name keeps sets picklable
+
+    @wraps(fn)
+    def once(X: VecSet):
+        if key not in X._memo:
+            X._memo[key] = fn(X)
+        result = X._memo[key]
+        return list(result) if isinstance(result, list) else result
+
+    return once
+
+
+@_memoized
+def _full_rank(X: VecSet) -> int:
+    return column_rank(X.columns())
 
 
 @dataclass(frozen=True)
@@ -136,6 +165,7 @@ def linearly_dependent(X: VecSet) -> DependenceReport:
     raise RuntimeError("rank deficient set without a dependent element")
 
 
+@_memoized
 def positively_dependent(X: VecSet) -> DependenceReport:
     """Whether some x is a nonnegative combination of the other vectors.
 
@@ -162,6 +192,7 @@ def negatively_independent(X: VecSet) -> FeasWitness:
     return strict_separator(list(X.vectors))
 
 
+@_memoized
 def is_pss(X: VecSet) -> bool:
     """Whether the positive span of X equals its linear span.
 

@@ -12,12 +12,12 @@ from .conical import (
     cone_decomposition,
     enumerate_mns,
     max_disjoint_family,
+    verify_main_bounds,
 )
 from .gale import (
-    characteristic_basis,
-    gale_diagram,
     is_locally_equilibrated,
     nonneg_dependency_basis,
+    verify_gale_theorem,
 )
 from .latticemod import build_lattice
 from .ratlin import QVec, column_rank, solve_nonneg
@@ -49,13 +49,11 @@ class SuiteCheck:
 
 def _check_gen_equivalence(X: VecSet) -> tuple[bool, str]:
     pss = is_pss(X)
-    sym = all(solve_nonneg(X.matrix(), -X[i]).feasible for i in X.indices())
     covered = set()
     for s in enumerate_simplices(X):
         covered.update(s.members)
     union = covered == set(X.indices())
-    ok = pss == sym == union
-    return ok, f"pss={pss} symmetric={sym} simplex_union={union}"
+    return pss == union, f"pss={pss} simplex_union={union}"
 
 
 def _check_trichotomy(X: VecSet) -> tuple[bool, str]:
@@ -97,8 +95,6 @@ def _check_inter(X: VecSet) -> tuple[bool, str]:
 
 
 def _check_main_bounds(X: VecSet) -> tuple[bool, str]:
-    from .conical import verify_main_bounds
-
     report = verify_main_bounds(X)
     return True, (
         f"n={report.simplex_count} card={report.cardinality} "
@@ -199,19 +195,10 @@ def _check_gale_basis(X: VecSet) -> tuple[bool, str]:
 
 
 def _check_gale_points(X: VecSet) -> tuple[bool, str]:
-    basis = characteristic_basis(X)
-    diagram = gale_diagram(X, basis)
-    simplices = enumerate_simplices(X)
-    membership = [
-        frozenset(k for k, s in enumerate(simplices) if i in s.dependency)
-        for i in X.indices()
-    ]
-    for i in X.indices():
-        for j in range(i + 1, len(X)):
-            if (diagram.points[i] == diagram.points[j]) != (
-                membership[i] == membership[j]
-            ):
-                return False, f"pair ({i},{j}) splits point and membership classes"
+    report = verify_gale_theorem(X)
+    if not report.ok:
+        i, j = report.violations[0]
+        return False, f"pair ({i},{j}) splits point and membership classes"
     return True, "point classes equal membership classes"
 
 

@@ -164,6 +164,14 @@ class TestExitCodes:
         code, _, _ = run_cli(["analyze"], payload, monkeypatch, capsys)
         assert code == 2
 
+    def test_env_var_not_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("PSSKIT_MAX_SIZE", "abc")
+        payload = json.dumps({"dim": 1, "vectors": [["1"], ["-1"]]})
+        code, out, err = run_cli(["analyze"], payload, monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: PSSKIT_MAX_SIZE must be an integer, got 'abc'\n"
+
     def test_cones_on_non_pss_is_input_error(self, monkeypatch, capsys):
         payload = json.dumps({"dim": 2, "vectors": [["1", "0"], ["0", "1"]]})
         code, _, _ = run_cli(["cones"], payload, monkeypatch, capsys)

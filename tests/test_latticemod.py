@@ -1,10 +1,23 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psskit import VecSet, build_lattice, enumerate_simplices, is_positive_basis
+from psskit import (
+    VecSet,
+    build_lattice,
+    enumerate_simplices,
+    is_positive_basis,
+    is_pss,
+)
 from psskit.errors import PreconditionError
-from psskit.genlib import make_cross, make_simplex, random_positive_basis
+from psskit.genlib import (
+    make_cross,
+    make_simplex,
+    polygon_example,
+    random_positive_basis,
+)
 
 
 def s_union_minus_s():
@@ -98,3 +111,32 @@ class TestIdentities:
             assert not is_positive_basis(X)
             lat = build_lattice(X)
             assert len(lat) < 2 ** len(enumerate_simplices(X))
+
+
+class TestOracle:
+    @staticmethod
+    def brute_spanning_subsets(X):
+        """Every subset of X that positively spans its hull, by LP alone."""
+        return {
+            sub
+            for k in range(len(X) + 1)
+            for sub in combinations(X.indices(), k)
+            if is_pss(X.subset(sub))
+        }
+
+    @pytest.mark.parametrize(
+        "make, size",
+        [
+            (lambda: polygon_example(3), 22),
+            (lambda: polygon_example(4), 136),
+            # 25 simplices: one union per subset of them would never finish
+            (lambda: polygon_example(5), 714),
+            (s_union_minus_s, 22),
+        ],
+        ids=["polygon3", "polygon4", "polygon5", "s_union_minus_s"],
+    )
+    def test_elements_are_the_positively_spanning_subsets(self, make, size):
+        X = make()
+        subsets = {e.subset for e in build_lattice(X)}
+        assert subsets == self.brute_spanning_subsets(X)
+        assert len(subsets) == size

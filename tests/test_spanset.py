@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from psskit.errors import (
     ZeroVectorError,
 )
 from psskit.ratlin import strict_separator
+from psskit.conical import enumerate_mns
 from psskit.simplicial import enumerate_simplices
 from psskit.genlib import example_x9, make_cross
 
@@ -400,3 +402,33 @@ class TestSpanningEquivalences:
         pos = not positively_dependent(X).verdict
         neg = negatively_independent(X).kind == "separator"
         assert lin == (pos and neg)
+
+
+class TestStructureMemo:
+    def test_edited_results_do_not_reach_the_next_caller(self):
+        X = make_cross(3)
+        for enumerate_fn in (enumerate_simplices, enumerate_mns):
+            first = enumerate_fn(X)
+            expected = list(first)
+            first.clear()
+            assert enumerate_fn(X) == expected
+            again = enumerate_fn(X)
+            again.append(None)
+            again.reverse()
+            assert enumerate_fn(X) == expected
+
+    def test_analysis_leaves_equality_and_hash_alone(self):
+        X, Y = example_x9(), example_x9()
+        assert X is not Y
+        is_pss(X)
+        positively_dependent(X)
+        enumerate_simplices(X)
+        X.rank()
+        assert X == Y and hash(X) == hash(Y) and repr(X) == repr(Y)
+        assert {X: "analysed"}[Y] == "analysed"
+        assert pickle.loads(pickle.dumps(X)) == Y
+
+    def test_subset_of_every_index_is_the_set_itself(self):
+        X = example_x9()
+        assert X.subset(X.indices()) is X
+        assert X.subset(reversed(X.indices())) != X

@@ -1,7 +1,15 @@
+import sys
+
 import pytest
 
-from psskit import VecSet, run_property_suite, suite_passed
-from psskit.genlib import example_x9, make_cross, make_simplex, polygon_example
+from psskit import VecSet, ratlin, run_property_suite, suite_passed
+from psskit.genlib import (
+    example_x9,
+    make_cross,
+    make_simplex,
+    polygon_example,
+    random_positive_basis,
+)
 
 
 @pytest.mark.parametrize(
@@ -54,3 +62,22 @@ def test_inapplicable_checks_marked():
     assert not by_name["cardinality_bounds"].applicable
     assert not by_name["independence_factorization"].applicable
     assert by_name["pointed_trichotomy"].applicable
+
+
+def test_suite_lp_count_gate(monkeypatch):
+    # Every check reads the input's simplices, frames and flags from one
+    # per-set memo.  The limit is a quarter of the 2,151 LPs the suite
+    # took on this input when each check recomputed them.
+    calls = []
+    for name in ("solve_nonneg", "strict_separator"):
+        original = getattr(ratlin, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "psskit" and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    run_property_suite(random_positive_basis(6, 3, 1))
+    assert len(calls) <= 537
