@@ -5,7 +5,8 @@ with rationals written as strings (integers allowed), runs an analysis,
 prints a machine-readable JSON report with a fixed key order to stdout
 and a short human summary to stderr.
 
-Exit codes: 0 success, 1 property-suite failure, 2 input error.
+Exit codes: 0 success, 1 property-suite failure, 2 input error, 3 internal
+error (a result failed its own re-check: a bug, not bad input).
 """
 
 import argparse
@@ -47,6 +48,7 @@ DEFAULT_MAX_SIZE = 18
 _EXIT_OK = 0
 _EXIT_SUITE = 1
 _EXIT_INPUT = 2
+_EXIT_INTERNAL = 3
 
 
 class CliInputError(Exception):
@@ -429,6 +431,9 @@ def main(argv=None) -> int:
     except PssKitError as exc:
         sys.stderr.write(f"property failure: {exc}\n")
         return _EXIT_SUITE
+    except RuntimeError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return _EXIT_INTERNAL
 
 
 def console_main() -> None:  # pragma: no cover - thin wrapper

@@ -1,14 +1,18 @@
 """Exact rational linear algebra and linear-feasibility decisions.
 
-Everything here works over ``fractions.Fraction``; there is no floating
-point anywhere, so every predicate built on top of this module is an exact
-dichotomy.  Feasibility questions are decided by a phase-I simplex method
-with Bland's anti-cycling rule, which makes every answer deterministic and
-returns an explicit certificate that can be re-checked by multiplication.
+Everything here is exact; there is no floating point anywhere, so every
+predicate built on top of this module is an exact dichotomy.  Elimination
+(rank, kernel, linear solve) runs fraction-free over the integers and
+creates a ``fractions.Fraction`` only for the entries it returns.
+Feasibility questions are decided by a phase-I simplex method over
+``Fraction`` with Bland's anti-cycling rule, which makes every answer
+deterministic and returns an explicit certificate that can be re-checked by
+multiplication.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatchError, ZeroVectorError
 
@@ -174,43 +178,54 @@ class FeasWitness:
 # Gaussian elimination
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot columns)."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+def _integer_row(row) -> list[int]:
+    """The row times the lcm of its denominators."""
+    scale = lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) for v in row]
+
+
+def _echelon(rows) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination: ``(T, pivot columns, d)``.
+
+    Each row is first multiplied by the lcm of its denominators, which keeps
+    the row space and so the reduced row echelon form.  Bareiss pivoting
+    then divides every update exactly by the previous pivot, which keeps
+    every entry an integer minor of the scaled matrix.  Every pivot entry
+    ends equal to d, and the reduced row echelon form is ``T / d``.
+    """
+    T = [_integer_row(row) for row in rows]
+    m = len(T)
+    n = len(T[0]) if m else 0
     pivots: list[int] = []
-    pr = 0
+    d = 1
     for c in range(n):
-        hit = next((i for i in range(pr, m) if rows[i][c] != 0), None)
-        if hit is None:
-            continue
-        rows[pr], rows[hit] = rows[hit], rows[pr]
-        pv = rows[pr][c]
-        if pv != 1:
-            rows[pr] = [v / pv for v in rows[pr]]
-        for i in range(m):
-            if i != pr and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
-        pivots.append(c)
-        pr += 1
+        pr = len(pivots)
         if pr == m:
             break
-    return rows, pivots
+        hit = next((i for i in range(pr, m) if T[i][c]), None)
+        if hit is None:
+            continue
+        T[pr], T[hit] = T[hit], T[pr]
+        prow = T[pr]
+        p = prow[c]
+        for i in range(m):
+            if i != pr:
+                f = T[i][c]
+                T[i] = [(p * a - f * b) // d for a, b in zip(T[i], prow)]
+        d = p
+        pivots.append(c)
+    return T, pivots, d
 
 
 def rank(M: QMat) -> int:
     """Exact rank over the rationals."""
-    return len(_rref(M.row_lists())[1])
+    return len(_echelon(M.row_lists())[1])
 
 
 def column_rank(columns) -> int:
     """Rank of a list of equal-length column vectors (no QMat required)."""
-    columns = [list(c) for c in columns]
-    if not columns:
-        return 0
-    rows = [[c[i] for c in columns] for i in range(len(columns[0]))]
-    return len(_rref(rows)[1])
+    # the rank of the transpose: each column is eliminated as a row
+    return len(_echelon([list(c) for c in columns])[1])
 
 
 def kernel_basis(M: QMat) -> list[QVec]:
@@ -220,18 +235,16 @@ def kernel_basis(M: QMat) -> list[QVec]:
     and the vectors are ordered by their free column, so the output is a
     canonical function of the input.
     """
-    R, pivots = _rref(M.row_lists())
+    T, pivots, d = _echelon(M.row_lists())
     free = [j for j in range(M.cols) if j not in pivots]
     out = []
     for f in free:
-        v = [_ZERO] * M.cols
-        v[f] = _ONE
+        v = [0] * M.cols  # d times the kernel vector with v[f] = 1
+        v[f] = d
         for ri, pc in enumerate(pivots):
-            v[pc] = -R[ri][f]
+            v[pc] = -T[ri][f]
         first = next(x for x in v if x != 0)
-        if first != 1:
-            v = [x / first for x in v]
-        out.append(QVec(v))
+        out.append(QVec(Fraction(x, first) for x in v))
     return out
 
 
@@ -245,12 +258,12 @@ def solve_linear(columns, rhs) -> list[Fraction] | None:
     m = len(rhs)
     n = len(columns)
     rows = [[columns[j][i] for j in range(n)] + [rhs[i]] for i in range(m)]
-    R, pivots = _rref(rows)
+    T, pivots, d = _echelon(rows)
     if n in pivots:  # pivot in the augmented column: inconsistent
         return None
     x = [_ZERO] * n
     for ri, pc in enumerate(pivots):
-        x[pc] = R[ri][n]
+        x[pc] = Fraction(T[ri][n], d)
     return x
 
 

@@ -14,6 +14,7 @@ set alone, it is computed once per :class:`VecSet` and kept in its memo.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
+from math import gcd
 
 from .errors import (
     DimensionMismatchError,
@@ -30,6 +31,7 @@ from .ratlin import (
     solve_linear,
     solve_nonneg,
     strict_separator,
+    _integer_row,
     _phase_one,
 )
 
@@ -282,38 +284,49 @@ def _kernel_vector(X: VecSet, support: list[int]) -> list[Fraction]:
 # skeleton and core
 
 
+def _primitive(v: QVec) -> list[int]:
+    """The positive multiple of v with coprime integer entries."""
+    w = _integer_row(v)
+    g = gcd(*w)
+    return [a // g for a in w]
+
+
+def _eliminate(v: list[int], row: list[int], pc: int) -> list[int]:
+    """Clear entry ``pc`` of v with ``row`` (nonzero there), gcd divided out."""
+    f = v[pc]
+    if not f:
+        return v
+    p = row[pc]
+    w = [p * a - f * b for a, b in zip(v, row)]
+    g = gcd(*w)
+    return [a // g for a in w] if g > 1 else w
+
+
 def _proper_flats(X: VecSet) -> list[tuple[int, ...]]:
     """Inclusion-maximal subsets spanning each proper subspace hit by X.
 
     Every subset with a proper linear span is contained in the closure of
     one of its linear bases, so testing positive-span membership on these
-    flats alone decides skeleton membership.
+    flats alone decides skeleton membership.  The walk over independent
+    sets keeps every vector reduced against an integer echelon form of the
+    current set: a vector extends the set iff its residual is nonzero, and
+    lies in the closure iff it is zero.
     """
     n = len(X)
     r = X.rank()
     closures: set[tuple[int, ...]] = set()
 
-    def close(indices: tuple[int, ...]) -> tuple[int, ...]:
-        if not indices:
-            return ()
-        cols = X.columns(indices)
-        base_rank = len(indices)
-        members = []
-        for j in range(n):
-            if j in indices or column_rank(cols + [list(X[j])]) == base_rank:
-                members.append(j)
-        return tuple(members)
-
-    def walk(current: tuple[int, ...], start: int):
-        closures.add(close(current))
-        if len(current) >= r - 1:
+    def walk(residuals: list[list[int]], depth: int, start: int):
+        closures.add(tuple(j for j, v in enumerate(residuals) if not any(v)))
+        if depth >= r - 1:
             return
         for j in range(start, n):
-            cand = current + (j,)
-            if column_rank(X.columns(cand)) == len(cand):
-                walk(cand, j + 1)
+            row = residuals[j]
+            if any(row):
+                pc = next(k for k, a in enumerate(row) if a)
+                walk([_eliminate(v, row, pc) for v in residuals], depth + 1, j + 1)
 
-    walk((), 0)
+    walk([_primitive(v) for v in X], 0, 0)
     return sorted(closures, key=lambda t: (len(t), t))
 
 
@@ -392,6 +405,8 @@ def extract_positive_basis(X: VecSet) -> tuple[VecSet, tuple[int, ...]]:
     """
     if not is_pss(X):
         raise PreconditionError("set does not positively span its hull")
+    if not positively_dependent(X).verdict:
+        return X, tuple(X.indices())  # nothing is removable
     kept = list(X.indices())
     while True:
         removable = []

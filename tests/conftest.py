@@ -65,6 +65,74 @@ def apply_map(rows, v: QVec) -> QVec:
 # independent oracles
 
 
+def oracle_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over ``Fraction`` in place; (rows, pivot columns).
+
+    The library's elimination before it became fraction-free, kept as the
+    differential oracle for ``ratlin``'s integer core.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots: list[int] = []
+    pr = 0
+    for c in range(n):
+        hit = next((i for i in range(pr, m) if rows[i][c] != 0), None)
+        if hit is None:
+            continue
+        rows[pr], rows[hit] = rows[hit], rows[pr]
+        pv = rows[pr][c]
+        if pv != 1:
+            rows[pr] = [v / pv for v in rows[pr]]
+        for i in range(m):
+            if i != pr and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
+        pivots.append(c)
+        pr += 1
+        if pr == m:
+            break
+    return rows, pivots
+
+
+def oracle_column_rank(columns) -> int:
+    columns = [[Fraction(x) for x in c] for c in columns]
+    if not columns:
+        return 0
+    rows = [[c[i] for c in columns] for i in range(len(columns[0]))]
+    return len(oracle_rref(rows)[1])
+
+
+def oracle_proper_flats(X: VecSet) -> list[tuple[int, ...]]:
+    """The proper flats of X by one rank elimination per test, as before
+    ``spanset._proper_flats`` walked on an incremental integer echelon."""
+    n = len(X)
+    r = oracle_column_rank(X.columns())
+    closures: set[tuple[int, ...]] = set()
+
+    def close(indices: tuple[int, ...]) -> tuple[int, ...]:
+        if not indices:
+            return ()
+        cols = X.columns(indices)
+        base_rank = len(indices)
+        members = []
+        for j in range(n):
+            if j in indices or oracle_column_rank(cols + [list(X[j])]) == base_rank:
+                members.append(j)
+        return tuple(members)
+
+    def walk(current: tuple[int, ...], start: int):
+        closures.add(close(current))
+        if len(current) >= r - 1:
+            return
+        for j in range(start, n):
+            cand = current + (j,)
+            if oracle_column_rank(X.columns(cand)) == len(cand):
+                walk(cand, j + 1)
+
+    walk((), 0)
+    return sorted(closures, key=lambda t: (len(t), t))
+
+
 def oracle_rank(columns) -> int:
     """Rank as the largest size of a subset with nonzero minor/kernel-free.
 

@@ -191,6 +191,30 @@ class TestExitCodes:
         assert json.loads(out)["passed"] is False
         assert "FAIL" in err
 
+    def test_internal_error_exits_three(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("simplex returned an invalid certificate")
+
+        monkeypatch.setattr("psskit.spanset.solve_nonneg", broken)
+        payload = json.dumps({"dim": 1, "vectors": [["1"], ["-1"]]})
+        code, out, err = run_cli(["analyze"], payload, monkeypatch, capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: simplex returned an invalid certificate\n"
+
+    def test_property_violation_still_exits_one(self, monkeypatch, capsys):
+        from psskit.errors import PropertyViolation
+
+        def broken(X):
+            raise PropertyViolation("element escaped every maximal frame")
+
+        monkeypatch.setattr("psskit.cli.cone_decomposition", broken)
+        payload = json.dumps({"dim": 1, "vectors": [["1"], ["-1"]]})
+        code, out, err = run_cli(["cones"], payload, monkeypatch, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "property failure: element escaped every maximal frame\n"
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, monkeypatch, capsys):

@@ -1,0 +1,157 @@
+"""Golden outputs: the CLI's exit code and stdout on a fixed corpus.
+
+Each digest is a sha256 prefix of the exit code and the stdout of one
+command on one set, recorded from the Fraction-elimination core before the
+integer core replaced it.  ``TestDeterminism`` in ``test_cli.py`` compares
+two runs of the same build; this module compares every build against those
+recorded answers, so a change of arithmetic that moves any printed number,
+index or verdict fails here.
+"""
+
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+import pytest
+
+from psskit import (
+    VecSet,
+    example_x9,
+    make_cross,
+    make_simplex,
+    polygon_example,
+    random_positive_basis,
+)
+from psskit.cli import main, vecset_json
+
+COMMANDS = ("analyze", "simplices", "lattice", "mns", "cones", "gale", "reay", "verify")
+
+# 16-bit numerators and denominators for the scaled positive basis
+_SCALES = (
+    Fraction(40503, 65521),
+    Fraction(65497, 1021),
+    Fraction(12289, 53731),
+    Fraction(61001, 65449),
+    Fraction(33331, 49157),
+    Fraction(257, 64499),
+)
+
+
+def _scaled_basis() -> VecSet:
+    X = random_positive_basis(4, 2, 0)
+    return VecSet(X.dim, [v.scale(c) for v, c in zip(X, _SCALES, strict=True)])
+
+
+CORPUS = {
+    "x9": example_x9,
+    "polygon3": lambda: polygon_example(3),
+    "cross2": lambda: make_cross(2),
+    "cross3": lambda: make_cross(3),
+    "simplex4": lambda: make_simplex(4),
+    # criterion 02's pinned counterexamples
+    "P": lambda: VecSet(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, 0], [0, -1, -1]]),
+    "C": lambda: VecSet(2, [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]]),
+    # a pointed set: it does not positively span its hull
+    "pointed": lambda: VecSet(3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1], [2, 1, 1]]),
+    "scaled16": _scaled_basis,
+}
+
+
+def _digest(X: VecSet, command: str) -> str:
+    """sha256 prefix of ``psskit <command>`` on X: exit code, newline, stdout."""
+    stdin = io.StringIO(json.dumps(vecset_json(X)))
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, stdin
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command])
+    finally:
+        sys.stdin = saved
+    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()[:16]
+
+
+GOLDEN = {
+    ("x9", "analyze"): "2a945159392912f9",
+    ("x9", "simplices"): "e5e8d591e53ac2d4",
+    ("x9", "lattice"): "430582eb2c96901a",
+    ("x9", "mns"): "4816346130051331",
+    ("x9", "cones"): "53c234e5e8472b6a",
+    ("x9", "gale"): "0d63736dabd335af",
+    ("x9", "reay"): "53c234e5e8472b6a",
+    ("x9", "verify"): "42ad2735fcb2f35d",
+    ("polygon3", "analyze"): "536e69a7e0191c66",
+    ("polygon3", "simplices"): "fe399e8b508d68cf",
+    ("polygon3", "lattice"): "c55f3d462253359a",
+    ("polygon3", "mns"): "c648e4d5176677cc",
+    ("polygon3", "cones"): "b96c7e9d7e05b7eb",
+    ("polygon3", "gale"): "1c0e78c33daa86a9",
+    ("polygon3", "reay"): "53c234e5e8472b6a",
+    ("polygon3", "verify"): "1ca87decb9592477",
+    ("cross2", "analyze"): "ceb834d9ad74e234",
+    ("cross2", "simplices"): "21555b16ff203373",
+    ("cross2", "lattice"): "4ac8b0ed59d01d84",
+    ("cross2", "mns"): "17d07c0639591bf1",
+    ("cross2", "cones"): "2aee64aa3a2d76ff",
+    ("cross2", "gale"): "c5aab171827a1b80",
+    ("cross2", "reay"): "5a5c3cd243696872",
+    ("cross2", "verify"): "b20ea61d27c383b8",
+    ("cross3", "analyze"): "246c0a899ad298e3",
+    ("cross3", "simplices"): "cb0a6667d6cbb584",
+    ("cross3", "lattice"): "b6f8ae86e1e66b01",
+    ("cross3", "mns"): "2ce64b841057ac33",
+    ("cross3", "cones"): "0a4e3bc3c2c6b091",
+    ("cross3", "gale"): "156c778d370ac301",
+    ("cross3", "reay"): "9a9d3704a5cb43e8",
+    ("cross3", "verify"): "e8398afa34594b23",
+    ("simplex4", "analyze"): "b8cf089656283a94",
+    ("simplex4", "simplices"): "062698378d4dba27",
+    ("simplex4", "lattice"): "a04e93cd0fa178e9",
+    ("simplex4", "mns"): "441f7e7833efcb36",
+    ("simplex4", "cones"): "51d4767d5adfeea7",
+    ("simplex4", "gale"): "1b9f2b2674c78e6c",
+    ("simplex4", "reay"): "5b539e0770b22022",
+    ("simplex4", "verify"): "0301d244496760bb",
+    ("P", "analyze"): "f9811918e7f5d8d2",
+    ("P", "simplices"): "3d56f19e8192264b",
+    ("P", "lattice"): "4e00c6fa78230efb",
+    ("P", "mns"): "a3bcfbe531247afe",
+    ("P", "cones"): "e741a6a4a681cfb9",
+    ("P", "gale"): "dea6b451fdbeb288",
+    ("P", "reay"): "90d91a8e74de255a",
+    ("P", "verify"): "f738619de4eb6dc6",
+    ("C", "analyze"): "dffc3847ddc1523f",
+    ("C", "simplices"): "e11f71c88cc21881",
+    ("C", "lattice"): "e41dbcdf94579ae3",
+    ("C", "mns"): "202f5dd434c7e6a6",
+    ("C", "cones"): "a645c13bdcf56ab4",
+    ("C", "gale"): "57f149955b869450",
+    ("C", "reay"): "53c234e5e8472b6a",
+    ("C", "verify"): "420b0b433b1517f6",
+    ("pointed", "analyze"): "8edc1343340116df",
+    ("pointed", "simplices"): "6c7030db220b6569",
+    ("pointed", "lattice"): "53c234e5e8472b6a",
+    ("pointed", "mns"): "87ef592a281e5e3c",
+    ("pointed", "cones"): "53c234e5e8472b6a",
+    ("pointed", "gale"): "772aaed9699c4a3e",
+    ("pointed", "reay"): "53c234e5e8472b6a",
+    ("pointed", "verify"): "3ec8d7cb982cdd97",
+    ("scaled16", "analyze"): "b7cc6b8f380750e6",
+    ("scaled16", "simplices"): "80ce56b489ecf975",
+    ("scaled16", "lattice"): "2d0782f75c4ecdcc",
+    ("scaled16", "mns"): "1aae5d6748443205",
+    ("scaled16", "cones"): "2afe8bc9c75efe4a",
+    ("scaled16", "gale"): "aecbde5d24168de9",
+    ("scaled16", "reay"): "4792bf3a66f08117",
+    ("scaled16", "verify"): "53492b4dbdc8db01",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_golden_outputs(name):
+    X = CORPUS[name]()
+    got = {(name, cmd): _digest(X, cmd) for cmd in COMMANDS}
+    want = {key: GOLDEN[key] for key in got}
+    assert got == want

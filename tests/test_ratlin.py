@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import strategies as st
 
 from psskit import QMat, QVec, kernel_basis, rank, solve_nonneg, strict_separator
 from psskit.errors import DimensionMismatchError, ZeroVectorError
+from psskit.ratlin import _echelon, solve_linear
 
-from conftest import brute_force_nonneg_zero_combo, oracle_rank, vecsets
+from conftest import brute_force_nonneg_zero_combo, oracle_rank, oracle_rref, vecsets
 
 F = Fraction
 
@@ -61,6 +63,105 @@ class TestKernel:
     def test_rank_nullity(self, X):
         M = X.matrix()
         assert rank(M) + len(kernel_basis(M)) == M.cols
+
+
+# entries with numerators and denominators up to 2^16, plus zeros and small integers
+_entries = st.one_of(
+    st.just(F(0)),
+    st.integers(-3, 3).map(F),
+    st.fractions(min_value=-(2**16), max_value=2**16, max_denominator=2**16),
+)
+
+
+@st.composite
+def rat_matrices(draw, max_rows=5, max_cols=6):
+    """Rational matrices with zero rows, zero columns and dependent rows."""
+    m = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_cols))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    rows = []
+    for i in range(m):
+        kind = draw(st.sampled_from(("free", "zero", "combination")))
+        if kind == "zero":
+            row = [F(0)] * n
+        elif kind == "combination" and i >= 2:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            a, b = draw(_entries), draw(_entries)
+            row = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+        else:
+            row = [draw(_entries) for _ in range(n)]
+        rows.append([F(0) if c in zero_cols else x for c, x in enumerate(row)])
+    return QMat.from_rows(rows)
+
+
+def _oracle_kernel(M: QMat) -> list[QVec]:
+    R, pivots = oracle_rref(M.row_lists())
+    out = []
+    for f in (j for j in range(M.cols) if j not in pivots):
+        v = [F(0)] * M.cols
+        v[f] = F(1)
+        for ri, pc in enumerate(pivots):
+            v[pc] = -R[ri][f]
+        first = next(x for x in v if x != 0)
+        out.append(QVec(x / first for x in v))
+    return out
+
+
+def _oracle_solve(columns, rhs):
+    n = len(columns)
+    rows = [[columns[j][i] for j in range(n)] + [rhs[i]] for i in range(len(rhs))]
+    R, pivots = oracle_rref(rows)
+    if n in pivots:
+        return None
+    x = [F(0)] * n
+    for ri, pc in enumerate(pivots):
+        x[pc] = R[ri][n]
+    return x
+
+
+class TestIntegerEliminationOracle:
+    """The fraction-free core against the Fraction elimination it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rat_matrices())
+    def test_echelon_is_the_rref_times_d(self, M):
+        T, pivots, d = _echelon(M.row_lists())
+        R, oracle_pivots = oracle_rref(M.row_lists())
+        assert pivots == oracle_pivots
+        assert all(T[ri][pc] == d for ri, pc in enumerate(pivots))
+        assert [[F(a, d) for a in row] for row in T] == R
+
+    @settings(max_examples=150, deadline=None)
+    @given(rat_matrices())
+    def test_rank_and_kernel(self, M):
+        assert rank(M) == len(oracle_rref(M.row_lists())[1])
+        assert kernel_basis(M) == _oracle_kernel(M)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rat_matrices(), st.data())
+    def test_solve_linear(self, M, data):
+        columns = M.column_lists()
+        if data.draw(st.booleans()):  # a consistent right-hand side
+            weights = [data.draw(_entries) for _ in columns]
+            rhs = [
+                sum((w * c[i] for w, c in zip(weights, columns)), F(0)) for i in range(M.rows)
+            ]
+        else:
+            rhs = [data.draw(_entries) for _ in range(M.rows)]
+        assert solve_linear(columns, rhs) == _oracle_solve(columns, rhs)
+
+    def test_coefficient_growth_within_hadamard_bound(self):
+        # Every entry Bareiss keeps is a minor of order at most 6, so its
+        # size is at most Hadamard's bound (sqrt(6) * 2^16)^6 for 6x6
+        # minors of 16-bit entries.  A step that lost its exact division
+        # would give the same rank with entries of thousands of bits.
+        rng = random.Random(20261018)
+        B = 2**16 - 1
+        rows = [[rng.randint(-B, B) for _ in range(12)] for _ in range(6)]
+        T, pivots, d = _echelon(rows)
+        assert len(pivots) == 6
+        hadamard = 6**3 * B**6  # (sqrt(6) * B)^6, exactly
+        assert max(abs(a).bit_length() for row in T for a in row) <= hadamard.bit_length()
 
 
 class TestSolveNonneg:

@@ -1,4 +1,6 @@
 import pickle
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,12 +30,14 @@ from psskit.errors import (
 from psskit.ratlin import strict_separator
 from psskit.conical import enumerate_mns
 from psskit.simplicial import enumerate_simplices
-from psskit.genlib import example_x9, make_cross
+from psskit import spanset
+from psskit.genlib import example_x9, make_cross, random_positive_basis
 
 from conftest import (
     apply_map,
     brute_force_membership,
     invertible_maps,
+    oracle_proper_flats,
     positive_rats,
     vecsets,
 )
@@ -255,6 +259,38 @@ class TestSkeletonOracle:
         assert skeleton_contains(p, X) == self.brute_skeleton(p, X)
 
 
+def _seeded_sets():
+    """Integer and 16-bit rational sets, d = 3..6, some of rank below d."""
+    rng = random.Random(5)
+    out = []
+    for d in range(3, 7):
+        for rank_ in (d, d - 1, 2):
+            for scaled in (False, True):
+                n = rng.randint(d + 1, d + 2)
+                gens = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rank_)]
+                vectors = set()
+                while len(vectors) < n:
+                    w = [rng.randint(-2, 2) for _ in range(rank_)]
+                    v = tuple(sum(c * g[k] for c, g in zip(w, gens)) for k in range(d))
+                    if any(v):
+                        vectors.add(v)
+                vectors = sorted(vectors)
+                if scaled:
+                    scales = [Fraction(rng.randint(1, 2**16), rng.randint(1, 2**16)) for _ in vectors]
+                    vectors = [[c * x for x in v] for v, c in zip(vectors, scales)]
+                out.append(VecSet(d, vectors))
+    return out
+
+
+class TestProperFlatsOracle:
+    @pytest.mark.parametrize("X", _seeded_sets(), ids=lambda X: f"d{X.dim}n{len(X)}r{X.rank()}")
+    def test_echelon_walk_matches_rank_walk(self, X):
+        assert spanset._proper_flats(X) == oracle_proper_flats(X)
+
+    def test_ranks_below_dimension_are_covered(self):
+        assert {X.dim - X.rank() for X in _seeded_sets()} >= {0, 1, 2, 3, 4}
+
+
 class TestExtractOracle:
     def test_output_is_a_brute_force_basis(self):
         from itertools import combinations
@@ -337,6 +373,24 @@ class TestExtractPositiveBasis:
     def test_non_pss_rejected(self):
         with pytest.raises(PreconditionError):
             extract_positive_basis(VecSet(2, [[1, 0], [0, 1]]))
+
+    def test_positive_basis_costs_no_lp_once_its_verdicts_are_known(self, monkeypatch):
+        X = random_positive_basis(6, 3, 1)
+        assert is_pss(X) and not positively_dependent(X).verdict
+        calls = []
+        name = "solve_nonneg"
+        original = getattr(spanset, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "psskit" and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+        Y, kept = extract_positive_basis(X)
+        assert calls == []
+        assert Y is X and kept == tuple(X.indices())
 
 
 class TestInvariance:
