@@ -201,8 +201,11 @@ def cone_decomposition(X: VecSet) -> ConeCover:
 
     Extracts a positive basis Y inside X, enumerates the maximal pointed
     frames of Y, and assigns every element of X to the first frame whose
-    positive span contains it.  Each part inherits the frame's separator,
-    re-checked strictly against every assigned vector.
+    positive span contains it.  A member of Y needs no LP: a maximal
+    frame's positive span holds no member of Y outside the frame, since
+    adding that member would keep the cone pointed.  Each part inherits
+    the frame's separator, re-checked strictly against every assigned
+    vector.
     """
     if not is_pss(X):
         raise PreconditionError("set does not positively span its hull")
@@ -210,18 +213,22 @@ def cone_decomposition(X: VecSet) -> ConeCover:
     if X.rank() != d:
         raise PreconditionError("set does not span the full space")
     Y, kept = extract_positive_basis(X)
+    in_y = {i: a for a, i in enumerate(kept)}
     frames = enumerate_mns(Y)
     assignment: dict[int, int] = {}
     groups: dict[int, list[int]] = {}
     for i in X.indices():
-        target = None
-        for k, frame in enumerate(frames):
-            if frame.witness.dot(X[i]) <= 0:
-                continue  # separator would fail, membership impossible
-            sub = Y.matrix(frame.members)
-            if solve_nonneg(sub, X[i]).feasible:
-                target = k
-                break
+        if i in in_y:
+            hits = (k for k, f in enumerate(frames) if in_y[i] in f.members)
+        else:
+            hits = (
+                k
+                for k, f in enumerate(frames)
+                # a failing separator rules membership out without an LP
+                if f.witness.dot(X[i]) > 0
+                and solve_nonneg(Y.matrix(f.members), X[i]).feasible
+            )
+        target = next(hits, None)
         if target is None:
             raise PropertyViolation("element escaped every maximal frame")
         assignment[i] = target

@@ -149,12 +149,17 @@ def positively_spanning_subsets(X: VecSet) -> list[tuple[int, ...]]:
 def factorization_condition(
     X: VecSet, spanning_only: bool = False
 ) -> FactorizationReport:
-    """Check span(Y) meet span(S) = span(Y intersect S) exhaustively.
+    """Check span(Y) meet span(S) = span(Y intersect S) for every simplex S.
 
-    Runs over every subset Y of X, or only over the positively spanning
-    subsets when ``spanning_only`` is set, against every simplex S.  Span
-    equality is decided by the exact rank identity
-    rank(Y&S) + rank(Y|S) = rank(Y) + rank(S).
+    Y runs over every subset of X, or only over the positively spanning
+    subsets when ``spanning_only`` is set.  Span equality is decided by the
+    exact rank identity rank(Y&S) + rank(Y|S) = rank(Y) + rank(S).
+
+    Over all subsets the condition holds iff rank(X-S) + rank(S) = rank(X)
+    for every simplex S: by the modular law span(Y) meet span(S) =
+    (span(Y-S) meet span(S)) + span(Y&S), and span(Y-S) lies in span(X-S),
+    while Y = X-S is itself a subset.  The subset scan runs only when that
+    identity fails, to report its first witness in scan order.
     """
     simplices = enumerate_simplices(X)
     n = len(X)
@@ -166,6 +171,12 @@ def factorization_condition(
             rank_memo[key] = column_rank(X.columns(key))
         return rank_memo[key]
 
+    everything = frozenset(range(n))
+    if not spanning_only and all(
+        r(everything - s.member_set()) + r(s.member_set()) == r(everything)
+        for s in simplices
+    ):
+        return FactorizationReport(True)
     if spanning_only:
         subsets = [frozenset(t) for t in positively_spanning_subsets(X)]
     else:

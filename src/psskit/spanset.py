@@ -198,15 +198,13 @@ def negatively_independent(X: VecSet) -> FeasWitness:
 def is_pss(X: VecSet) -> bool:
     """Whether the positive span of X equals its linear span.
 
-    Equivalent to: the negation of every element lies back in the positive
-    span.  The test is relative to the linear hull of X, not to the full
-    ambient space; full-dimensionality is a separate rank check.
+    One LP: -sum(X) lies in the positive span iff some lambda >= 1 has
+    sum(lambda_j x_j) = 0, and then -x_i = sum_{j != i} (lambda_j /
+    lambda_i) x_j lies there for every i.  The test is relative to the
+    linear hull of X, not to the full ambient space; full-dimensionality
+    is a separate rank check.
     """
-    M = X.matrix()
-    for i in X.indices():
-        if not solve_nonneg(M, -X[i]).feasible:
-            return False
-    return True
+    return solve_nonneg(X.matrix(), -sum(X, QVec.zero(X.dim))).feasible
 
 
 def is_positive_basis(X: VecSet) -> bool:
@@ -302,23 +300,23 @@ def _eliminate(v: list[int], row: list[int], pc: int) -> list[int]:
     return [a // g for a in w] if g > 1 else w
 
 
-def _proper_flats(X: VecSet) -> list[tuple[int, ...]]:
-    """Inclusion-maximal subsets spanning each proper subspace hit by X.
+def _hyperplane_flats(X: VecSet) -> list[tuple[int, ...]]:
+    """The closures of the independent (r-1)-subsets of X, r = rank(X).
 
-    Every subset with a proper linear span is contained in the closure of
-    one of its linear bases, so testing positive-span membership on these
-    flats alone decides skeleton membership.  The walk over independent
-    sets keeps every vector reduced against an integer echelon form of the
-    current set: a vector extends the set iff its residual is nonzero, and
-    lies in the closure iff it is zero.
+    These are the inclusion-maximal proper flats: every subset with a
+    proper linear span extends, through a linear basis of it, to an
+    independent (r-1)-subset whose closure contains it.  The walk over
+    independent sets keeps every vector reduced against an integer echelon
+    form of the current set: a vector extends the set iff its residual is
+    nonzero, and lies in the closure iff it is zero.
     """
     n = len(X)
     r = X.rank()
     closures: set[tuple[int, ...]] = set()
 
     def walk(residuals: list[list[int]], depth: int, start: int):
-        closures.add(tuple(j for j, v in enumerate(residuals) if not any(v)))
-        if depth >= r - 1:
+        if depth == r - 1:
+            closures.add(tuple(j for j, v in enumerate(residuals) if not any(v)))
             return
         for j in range(start, n):
             row = residuals[j]
@@ -331,12 +329,16 @@ def _proper_flats(X: VecSet) -> list[tuple[int, ...]]:
 
 
 def skeleton_contains(p: QVec, X: VecSet) -> bool:
-    """Membership of p in some positive span over a proper-span subset."""
+    """Membership of p in some positive span over a proper-span subset.
+
+    Only the hyperplane flats need an LP: every proper-span subset lies in
+    one of them, and positive-span membership is monotone in the subset.
+    """
     if p.dim != X.dim:
         raise DimensionMismatchError("point dimension mismatch")
     if X.rank() == 0:
         return False
-    for flat in _proper_flats(X):
+    for flat in _hyperplane_flats(X):
         if not flat:
             if p.is_zero():
                 return True

@@ -20,7 +20,7 @@ from .gale import (
     verify_gale_theorem,
 )
 from .latticemod import build_lattice
-from .ratlin import QVec, column_rank, solve_nonneg
+from .ratlin import QVec, column_rank
 from .simplicial import (
     basis_decomposition,
     enumerate_simplices,
@@ -140,9 +140,7 @@ def _check_caratheodory(X: VecSet) -> tuple[bool, str]:
         total = total + v
     samples.append(total)
     r = X.rank()
-    for p in samples:
-        if not solve_nonneg(X.matrix(), p).feasible:
-            continue
+    for p in samples:  # each lies in the positive span by construction
         sp = caratheodory_reduce(p, X)
         if len(sp.coeffs) > r:
             return False, f"support {len(sp.coeffs)} exceeds rank {r}"
@@ -175,15 +173,49 @@ def _check_frame_rank(X: VecSet) -> tuple[bool, str]:
 
 
 def _check_maxind(X: VecSet) -> tuple[bool, str]:
-    simplices = enumerate_simplices(X)
+    # A set is pointed iff it holds no simplex, so a frame is maximal iff
+    # it holds none and every excluded element completes one with it.  On
+    # a positively independent set, a frame through the linear basis B of
+    # the decomposition meets every simplex in all but one element, and
+    # every frame does when the simplices are pairwise disjoint (a missing
+    # member completes only that simplex).  With overlapping simplices a
+    # frame may miss two members, as on random_positive_basis(6, 3, 15).
+    simplices = [s.member_set() for s in enumerate_simplices(X)]
     frames = enumerate_mns(X)
-    if not positively_dependent(X).verdict:
-        for frame in frames:
-            fs = frame.member_set()
-            for s in simplices:
-                if len(fs & set(s.members)) != len(s.members) - 1:
-                    return False, f"frame {frame.members} misses two of {s.members}"
-    return True, "frames meet every simplex in all but one element"
+    for frame in frames:
+        fs = frame.member_set()
+        held = next((s for s in simplices if s <= fs), None)
+        if held is not None:
+            return False, f"frame {frame.members} holds simplex {tuple(sorted(held))}"
+        for j in X.indices():
+            if j not in fs and not any(j in s and s <= fs | {j} for s in simplices):
+                return False, f"frame {frame.members} stays pointed with {j}"
+    every_frame = "frames meet every simplex in all but one element"
+    if positively_dependent(X).verdict:
+        return True, every_frame
+
+    def missed_twice(fs: frozenset) -> tuple[int, ...] | None:
+        return next((tuple(sorted(s)) for s in simplices if len(s - fs) > 1), None)
+
+    if X.rank() == X.dim:
+        B = frozenset(basis_decomposition(X).basis)
+        if not any(
+            B <= f.member_set() and missed_twice(f.member_set()) is None
+            for f in frames
+        ):
+            return False, f"every frame through the basis {tuple(sorted(B))} misses two"
+    missed = [
+        (f.members, s) for f in frames if (s := missed_twice(f.member_set()))
+    ]
+    if not missed:
+        return True, every_frame
+    if sum(map(len, simplices)) == len(frozenset().union(*simplices)):
+        members, s = missed[0]
+        return False, f"frame {members} misses two of {s}"
+    return True, (
+        f"{len(missed)} of {len(frames)} frames miss two members of an "
+        "overlapping simplex; every frame is maximal"
+    )
 
 
 def _check_gale_basis(X: VecSet) -> tuple[bool, str]:

@@ -1,13 +1,14 @@
 """Shared strategies and brute-force oracles for the property suites."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 from hypothesis import strategies as st
 
 from psskit import QVec, VecSet
-from psskit.ratlin import kernel_basis
+from psskit.ratlin import kernel_basis, solve_nonneg
 
 small_rats = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4
@@ -103,8 +104,9 @@ def oracle_column_rank(columns) -> int:
 
 
 def oracle_proper_flats(X: VecSet) -> list[tuple[int, ...]]:
-    """The proper flats of X by one rank elimination per test, as before
-    ``spanset._proper_flats`` walked on an incremental integer echelon."""
+    """All proper flats of X, of every rank, by one rank elimination per
+    test: the walk ``spanset`` used before it walked an incremental integer
+    echelon and kept only the hyperplane flats."""
     n = len(X)
     r = oracle_column_rank(X.columns())
     closures: set[tuple[int, ...]] = set()
@@ -131,6 +133,50 @@ def oracle_proper_flats(X: VecSet) -> list[tuple[int, ...]]:
 
     walk((), 0)
     return sorted(closures, key=lambda t: (len(t), t))
+
+
+def oracle_is_pss(X: VecSet) -> bool:
+    """Positive spanning by one LP per element: every -x in the positive
+    span, as ``spanset.is_pss`` decided it before it took one LP."""
+    M = X.matrix()
+    return all(solve_nonneg(M, -v).feasible for v in X)
+
+
+def oracle_skeleton_contains(p: QVec, X: VecSet) -> bool:
+    """Skeleton membership with one LP per proper flat of every rank, as
+    ``spanset.skeleton_contains`` decided it before it kept only the
+    hyperplane flats."""
+    if X.rank() == 0:
+        return False
+    return any(
+        p.is_zero() if not flat else solve_nonneg(X.matrix(flat), p).feasible
+        for flat in _cached_proper_flats(X)
+    )
+
+
+@lru_cache(maxsize=64)
+def _cached_proper_flats(X: VecSet) -> list[tuple[int, ...]]:
+    return oracle_proper_flats(X)
+
+
+def oracle_factorization_scan(X: VecSet) -> tuple[bool, tuple[int, ...] | None]:
+    """The all-subsets factorization condition by the plain subset scan:
+    (holds, first failing subset in scan order)."""
+    from psskit.simplicial import enumerate_simplices
+
+    simplices = [frozenset(s.members) for s in enumerate_simplices(X)]
+
+    def r(indices) -> int:
+        return oracle_column_rank(X.columns(sorted(indices)))
+
+    n = len(X)
+    for k in range(n + 1):
+        for c in combinations(range(n), k):
+            Y = frozenset(c)
+            for S in simplices:
+                if r(Y & S) + r(Y | S) != r(Y) + r(S):
+                    return False, c
+    return True, None
 
 
 def oracle_rank(columns) -> int:
@@ -210,6 +256,27 @@ def brute_force_membership(p: QVec, X: VecSet, support_limit=None) -> bool:
             if sol is not None and all(c >= 0 for c in sol):
                 return True
     return False
+
+
+def count_lp_calls(monkeypatch, names=("solve_nonneg", "strict_separator")) -> list:
+    """Count the calls of ``ratlin``'s LP entry points ``names`` from every
+    psskit module that bound them; the returned list grows by one a call."""
+    import sys
+
+    from psskit import ratlin
+
+    calls = []
+    for name in names:
+        original = getattr(ratlin, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "psskit" and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 @pytest.fixture

@@ -24,10 +24,10 @@ from psskit.genlib import (
     polygon_example,
     random_positive_basis,
 )
-from psskit.ratlin import column_rank, strict_separator
-from psskit.spanset import positively_dependent
+from psskit.ratlin import column_rank, solve_nonneg, strict_separator
+from psskit.spanset import extract_positive_basis, is_pss, positively_dependent
 
-from conftest import vecsets
+from conftest import count_lp_calls, vecsets
 
 
 def s_union_minus_s():
@@ -170,6 +170,35 @@ class TestConeDecomposition:
     def test_rejects_non_pss(self):
         with pytest.raises(PreconditionError):
             cone_decomposition(VecSet(2, [[1, 0], [0, 1]]))
+
+    @pytest.mark.parametrize(
+        "X",
+        [
+            make_cross(2),
+            VecSet(3, list(make_cross(3).vectors) + [[1, 1, 1], [-1, 2, -3]]),
+            polygon_example(4),
+            random_positive_basis(4, 2, 0),
+            random_positive_basis(5, 3, 6),
+            VecSet(2, [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-3, -3], [5, -5]]),
+        ],
+    )
+    def test_every_element_in_its_first_containing_frame(self, X):
+        # the assignment one LP per element and frame would give
+        Y, kept = extract_positive_basis(X)
+        frames = enumerate_mns(Y)
+        cover = cone_decomposition(X)
+        for i in X.indices():
+            first = next(
+                f for f in frames if solve_nonneg(Y.matrix(f.members), X[i]).feasible
+            )
+            assert cover.frames[cover.assignment[i]] == first
+
+    def test_positive_basis_costs_no_lp_once_its_frames_are_known(self, monkeypatch):
+        X = random_positive_basis(5, 3, 6)
+        assert is_pss(X) and not positively_dependent(X).verdict and enumerate_mns(X)
+        calls = count_lp_calls(monkeypatch)
+        cone_decomposition(X)
+        assert calls == []
 
 
 class TestMaxDisjointFamily:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,10 +23,11 @@ from psskit.genlib import (
     make_cross,
     make_from_antichain,
     make_simplex,
+    random_positive_basis,
 )
 from psskit.ratlin import column_rank
 
-from conftest import vecsets
+from conftest import oracle_factorization_scan, vecsets
 
 F = Fraction
 
@@ -111,6 +113,25 @@ class TestFactorization:
         assert r(Y & S) + r(Y | S) != r(Y) + r(S)
         # the spanning-subset variant fails too
         assert not factorization_condition(example_x9(), spanning_only=True).ok
+
+    def test_rank_identity_matches_subset_scan(self):
+        # criterion 02's P breaks the identity; C is positively dependent
+        P = VecSet(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, 0], [0, -1, -1]])
+        C = VecSet(2, [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]])
+        pool = [P, C, SIMPLEX2, CROSS2, make_cross(3), example_x9()]
+        pool += [random_positive_basis(d, n, seed) for d in (3, 4) for n in (1, 2, 3) for seed in (0, 1)]
+        rng = random.Random(2)
+        for _ in range(12):
+            d = rng.randint(2, 3)
+            vectors = {tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(3, 7))}
+            pool.append(VecSet(d, [v for v in sorted(vectors) if any(v)]))
+        verdicts = []
+        for X in pool:
+            report = factorization_condition(X)
+            assert (report.ok, report.witness_subset) == oracle_factorization_scan(X), X
+            verdicts.append(report.ok)
+        assert True in verdicts and False in verdicts
+        assert not factorization_condition(P).ok
 
 
 class TestBasisDecomposition:

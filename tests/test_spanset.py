@@ -1,6 +1,5 @@
 import pickle
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -36,8 +35,11 @@ from psskit.genlib import example_x9, make_cross, random_positive_basis
 from conftest import (
     apply_map,
     brute_force_membership,
+    count_lp_calls,
     invertible_maps,
+    oracle_is_pss,
     oracle_proper_flats,
+    oracle_skeleton_contains,
     positive_rats,
     vecsets,
 )
@@ -282,13 +284,86 @@ def _seeded_sets():
     return out
 
 
+def _maximal(flats):
+    return [f for f in flats if not any(set(f) < set(g) for g in flats)]
+
+
 class TestProperFlatsOracle:
     @pytest.mark.parametrize("X", _seeded_sets(), ids=lambda X: f"d{X.dim}n{len(X)}r{X.rank()}")
     def test_echelon_walk_matches_rank_walk(self, X):
-        assert spanset._proper_flats(X) == oracle_proper_flats(X)
+        # the walk keeps the hyperplane flats: the inclusion-maximal ones
+        assert spanset._hyperplane_flats(X) == _maximal(oracle_proper_flats(X))
 
     def test_ranks_below_dimension_are_covered(self):
         assert {X.dim - X.rank() for X in _seeded_sets()} >= {0, 1, 2, 3, 4}
+
+
+def _one_lp_pool():
+    """Seeded sets, d = 2..6, integer and 16-bit rational, with the points
+    skeleton membership is asked about: yes, no and zero."""
+    rng = random.Random(6)
+    pool = []
+    for d in range(2, 7):
+        for shape in ("spanning", "pointed", "mixed", "low rank"):
+            for scaled in (False, True):
+                n = rng.randint(d + 1, d + 2)
+                vectors: set[tuple] = set()
+                while len(vectors) < n - (shape == "spanning"):
+                    v = [rng.randint(-3, 3) for _ in range(d)]
+                    if shape == "pointed":
+                        v[0] = rng.randint(1, 3)  # all in the open half-space
+                    if shape == "low rank":
+                        v[-1] = 0
+                    if any(v):
+                        vectors.add(tuple(v))
+                vectors = sorted(vectors)
+                if shape == "spanning":  # close a positive dependency
+                    w = [rng.randint(1, 3) for _ in vectors]
+                    last = tuple(-sum(c * v[k] for c, v in zip(w, vectors)) for k in range(d))
+                    if any(last) and last not in vectors:
+                        vectors.append(last)
+                if scaled:
+                    vectors = [
+                        [Fraction(rng.randint(1, 2**16), rng.randint(1, 2**16)) * x for x in v]
+                        for v in vectors
+                    ]
+                X = VecSet(d, vectors)
+                r = X.rank()
+                few = rng.sample(range(len(X)), max(1, r - 1))
+                on_flat = sum((X[i].scale(rng.randint(1, 3)) for i in few), QVec.zero(d))
+                generic = sum(
+                    (v.scale(rng.randint(-2, 3)) for v in X), QVec.zero(d)
+                )
+                for p in (on_flat, -on_flat, generic, QVec.zero(d)):
+                    pool.append((X, p))
+    return pool
+
+
+class TestOneLpOracles:
+    POOL = _one_lp_pool()
+
+    def test_is_pss_matches_per_element_oracle(self):
+        sets = {X for X, _ in self.POOL}
+        verdicts = [is_pss(X) for X in sets]
+        assert verdicts == [oracle_is_pss(X) for X in sets]
+        assert True in verdicts and False in verdicts
+
+    def test_skeleton_matches_all_flats_oracle(self):
+        answers = [skeleton_contains(p, X) for X, p in self.POOL]
+        assert answers == [oracle_skeleton_contains(p, X) for X, p in self.POOL]
+        assert True in answers and False in answers
+
+    def test_pool_covers_dimensions_kinds_and_zero_points(self):
+        assert {X.dim for X, _ in self.POOL} == {2, 3, 4, 5, 6}
+        assert any(v.denominator > 1 for X, _ in self.POOL for x in X for v in x)
+        assert any(p.is_zero() for _, p in self.POOL)
+
+    def test_is_pss_runs_exactly_one_lp(self, monkeypatch):
+        calls = count_lp_calls(monkeypatch)
+        for X in (example_x9(), make_cross(3), VecSet(2, [[1, 0], [0, 1]])):
+            calls.clear()
+            is_pss(VecSet(X.dim, X.vectors))  # a fresh set: an empty memo
+            assert len(calls) == 1
 
 
 class TestExtractOracle:
@@ -377,17 +452,7 @@ class TestExtractPositiveBasis:
     def test_positive_basis_costs_no_lp_once_its_verdicts_are_known(self, monkeypatch):
         X = random_positive_basis(6, 3, 1)
         assert is_pss(X) and not positively_dependent(X).verdict
-        calls = []
-        name = "solve_nonneg"
-        original = getattr(spanset, name)
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        for modname, mod in list(sys.modules.items()):
-            if modname.split(".")[0] == "psskit" and vars(mod).get(name) is original:
-                monkeypatch.setattr(mod, name, counted)
+        calls = count_lp_calls(monkeypatch, ("solve_nonneg",))
         Y, kept = extract_positive_basis(X)
         assert calls == []
         assert Y is X and kept == tuple(X.indices())

@@ -1,8 +1,11 @@
-import sys
+import json
 
 import pytest
 
-from psskit import VecSet, ratlin, run_property_suite, suite_passed
+from psskit import VecSet, run_property_suite, suite_passed
+from psskit.cli import main, vecset_json
+from psskit.conical import enumerate_mns
+from psskit.simplicial import basis_decomposition, enumerate_simplices
 from psskit.genlib import (
     example_x9,
     make_cross,
@@ -10,6 +13,8 @@ from psskit.genlib import (
     polygon_example,
     random_positive_basis,
 )
+
+from conftest import count_lp_calls
 
 
 @pytest.mark.parametrize(
@@ -66,18 +71,57 @@ def test_inapplicable_checks_marked():
 
 def test_suite_lp_count_gate(monkeypatch):
     # Every check reads the input's simplices, frames and flags from one
-    # per-set memo.  The limit is a quarter of the 2,151 LPs the suite
-    # took on this input when each check recomputed them.
-    calls = []
-    for name in ("solve_nonneg", "strict_separator"):
-        original = getattr(ratlin, name)
-
-        def counted(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
-
-        for modname, mod in list(sys.modules.items()):
-            if modname.split(".")[0] == "psskit" and vars(mod).get(name) is original:
-                monkeypatch.setattr(mod, name, counted)
+    # per-set memo, is_pss is one LP, and the cover assigns the members of
+    # the positive basis without one.  The limit is the count measured
+    # then; it was 2,151 when each check recomputed its structures.
+    calls = count_lp_calls(monkeypatch)
     run_property_suite(random_positive_basis(6, 3, 1))
-    assert len(calls) <= 537
+    assert len(calls) <= 411
+
+
+def _frames_and_simplices(X):
+    frames = [f.member_set() for f in enumerate_mns(X)]
+    simplices = [s.member_set() for s in enumerate_simplices(X)]
+    return frames, simplices
+
+
+def _meets_all_but_one(frame, simplices):
+    return all(len(s - frame) == 1 for s in simplices)
+
+
+def test_frame_missing_two_members_of_a_simplex_is_pinned(tmp_path, capsys):
+    # A valid positive basis on which not every maximal frame meets every
+    # simplex in all but one element: the suite must still pass.
+    X = random_positive_basis(6, 3, 15)
+    frames, simplices = _frames_and_simplices(X)
+    frame, simplex = frozenset({0, 1, 2, 4, 6, 7, 8}), frozenset({2, 3, 4, 5, 7})
+    assert frame in frames and simplex in simplices
+    assert simplex - frame == {3, 5}
+    check = next(c for c in run_property_suite(X) if c.name == "frame_simplex_intersections")
+    assert check.passed and check.detail != "frames meet every simplex in all but one element"
+    path = tmp_path / "rpb_6_3_15.json"
+    path.write_text(json.dumps(vecset_json(X)))
+    assert main(["verify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(d, n, seed) for d in (4, 5, 6) for n in (2, 3) for seed in (0, 1)]
+    + [(5, 3, 6), (6, 3, 15)],
+)
+def test_frame_statements_on_seeded_bases(args):
+    X = random_positive_basis(*args)
+    frames, simplices = _frames_and_simplices(X)
+    # (b) maximality by simplex completion
+    for f in frames:
+        assert not any(s <= f for s in simplices)
+        for j in set(X.indices()) - f:
+            assert any(j in s and s <= f | {j} for s in simplices)
+    # (a) some frame through the decomposition's linear basis
+    B = frozenset(basis_decomposition(X).basis)
+    assert any(B <= f and _meets_all_but_one(f, simplices) for f in frames)
+    # (c) pairwise disjoint simplices: every frame
+    if sum(map(len, simplices)) == len(frozenset().union(*simplices)):
+        assert all(_meets_all_but_one(f, simplices) for f in frames)
+    assert suite_passed(run_property_suite(X))
