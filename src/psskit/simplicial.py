@@ -93,19 +93,13 @@ def _simplex_on(X: VecSet, sub: tuple[int, ...]) -> Simplex | None:
     ``sub`` is a simplex exactly when its kernel is one-dimensional with a
     representative that is nonzero and of one sign in every coordinate;
     this is equivalent to minimality of the positive zero-combination.
+    ``kernel_basis`` scales the first entry to 1, so a simplex is a
+    one-vector kernel whose entries are all positive: its dependency.
     """
     kern = kernel_basis(X.matrix(sub))
-    if len(kern) != 1:
+    if len(kern) != 1 or any(c <= 0 for c in kern[0]):
         return None
-    v = list(kern[0])
-    if any(c == 0 for c in v):
-        return None
-    if v[0] < 0:
-        v = [-c for c in v]
-    if any(c < 0 for c in v):
-        return None
-    lead = v[0]
-    return Simplex(sub, {i: c / lead for i, c in zip(sub, v)})
+    return Simplex(sub, dict(zip(sub, kern[0])))
 
 
 def is_simplex(S: VecSet) -> Simplex | None:

@@ -27,16 +27,11 @@ from .ratlin import (
     QMat,
     QVec,
     column_rank,
-    kernel_basis,
     solve_linear,
     solve_nonneg,
     strict_separator,
     _integer_row,
-    _phase_one,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -216,66 +211,24 @@ def is_positive_basis(X: VecSet) -> bool:
 # support reduction
 
 
-def _nonneg_dependency(X: VecSet, support: list[int]) -> list[Fraction] | None:
-    """A nontrivial nonnegative zero-combination on ``support``, or None.
-
-    Normalised so the coefficients sum to one; deterministic.  Existence is
-    equivalent to the support not being negatively independent.
-    """
-    cols = [list(X[i]) + [_ONE] for i in support]
-    rhs = [_ZERO] * X.dim + [_ONE]
-    return _phase_one(cols, rhs)
-
-
 def caratheodory_reduce(x: QVec, X: VecSet) -> SpanPoint:
     """Rewrite x over at most rank(X) vectors with strictly positive weights.
 
-    Requires x to lie in the positive span of X (checked).  Starting from
-    any exact nonnegative representation, the loop repeatedly cancels a
-    dependency of the current support at its minimal-ratio index: first
-    nonnegative dependencies while the support is not negatively
-    independent, then signed ones until the support is linearly
-    independent.  The zero vector gets the empty representation.
+    Requires x to lie in the positive span of X (checked).  The phase-I LP
+    returns a basic feasible solution, whose nonzero coefficients sit on
+    columns of a basis and so on linearly independent vectors: they are
+    the rewrite.  Positivity and independence are re-checked.  The zero
+    vector gets the empty representation.
     """
     res = solve_nonneg(X.matrix(), x)
     if not res.feasible:
         raise PreconditionError("point is not in the positive span of the set")
     coeffs = {i: c for i, c in res.coeffs.items() if c != 0}
-    while True:
-        support = sorted(coeffs)
-        if column_rank(X.columns(support)) == len(support):
-            break
-        dep_list = _nonneg_dependency(X, support)
-        if dep_list is None:
-            kern = _kernel_vector(X, support)
-            if not any(c > 0 for c in kern):
-                kern = [-c for c in kern]
-            dep_list = kern
-        dep = dict(zip(support, dep_list))
-        ratio_idx = None
-        best = None
-        for i in support:
-            if dep[i] > 0:
-                r = coeffs[i] / dep[i]
-                if best is None or r < best:
-                    best = r
-                    ratio_idx = i
-        for i in support:
-            coeffs[i] -= best * dep[i]
-        coeffs = {i: c for i, c in coeffs.items() if c != 0}
-        assert ratio_idx not in coeffs
-    rebuilt = QVec.zero(X.dim)
-    for i, c in coeffs.items():
-        if c < 0:
-            raise RuntimeError("reduction produced a negative coefficient")
-        rebuilt = rebuilt + X[i].scale(c)
-    if rebuilt != x:
-        raise RuntimeError("reduction lost exactness")
+    if any(c < 0 for c in coeffs.values()):
+        raise RuntimeError("basic solution has a negative coefficient")
+    if column_rank(X.columns(sorted(coeffs))) != len(coeffs):
+        raise RuntimeError("basic solution has a dependent support")
     return SpanPoint(x, coeffs)
-
-
-def _kernel_vector(X: VecSet, support: list[int]) -> list[Fraction]:
-    return list(kernel_basis(X.matrix(support))[0])
 
 
 # ----------------------------------------------------------------------
@@ -399,10 +352,12 @@ def replace_element(A: VecSet, x: int, y: QVec) -> tuple[VecSet, dict[int, int]]
 def extract_positive_basis(X: VecSet) -> tuple[VecSet, tuple[int, ...]]:
     """A positive basis inside X with the same linear span.
 
-    Requires X to positively span its hull.  Repeatedly deletes the
-    highest-index element that is a nonnegative combination of the others;
-    each deletion keeps the positive span intact, so the loop ends in a
-    positively independent set spanning the same space.  Returns the basis
+    Requires X to positively span its hull.  One descending pass drops i
+    when X[i] lies in the positive span of the others still kept.  A drop
+    keeps the positive span, and cone membership only shrinks with the
+    kept set, so no kept element becomes removable later.  The result is
+    what repeatedly deleting the highest-index removable element leaves:
+    each such element is the next one the pass meets.  Returns the basis
     and the retained indices of X.
     """
     if not is_pss(X):
@@ -410,13 +365,8 @@ def extract_positive_basis(X: VecSet) -> tuple[VecSet, tuple[int, ...]]:
     if not positively_dependent(X).verdict:
         return X, tuple(X.indices())  # nothing is removable
     kept = list(X.indices())
-    while True:
-        removable = []
-        for i in kept:
-            rest = [j for j in kept if j != i]
-            if solve_nonneg(X.matrix(rest), X[i]).feasible:
-                removable.append(i)
-        if not removable:
-            break
-        kept.remove(max(removable))
+    for i in reversed(X.indices()):
+        rest = [j for j in kept if j != i]
+        if solve_nonneg(X.matrix(rest), X[i]).feasible:
+            kept = rest
     return X.subset(kept), tuple(kept)

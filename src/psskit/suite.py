@@ -175,11 +175,12 @@ def _check_frame_rank(X: VecSet) -> tuple[bool, str]:
 def _check_maxind(X: VecSet) -> tuple[bool, str]:
     # A set is pointed iff it holds no simplex, so a frame is maximal iff
     # it holds none and every excluded element completes one with it.  On
-    # a positively independent set, a frame through the linear basis B of
-    # the decomposition meets every simplex in all but one element, and
-    # every frame does when the simplices are pairwise disjoint (a missing
-    # member completes only that simplex).  With overlapping simplices a
-    # frame may miss two members, as on random_positive_basis(6, 3, 15).
+    # a full-rank positively independent set, a frame through the linear
+    # basis B of the decomposition meets every simplex in all but one
+    # element.  On every set, every frame does when the simplices are
+    # pairwise disjoint (a missing member completes only that simplex).
+    # With overlapping simplices a frame may miss two members, as on
+    # random_positive_basis(6, 3, 15) and on every frame of x9.
     simplices = [s.member_set() for s in enumerate_simplices(X)]
     frames = enumerate_mns(X)
     for frame in frames:
@@ -190,14 +191,11 @@ def _check_maxind(X: VecSet) -> tuple[bool, str]:
         for j in X.indices():
             if j not in fs and not any(j in s and s <= fs | {j} for s in simplices):
                 return False, f"frame {frame.members} stays pointed with {j}"
-    every_frame = "frames meet every simplex in all but one element"
-    if positively_dependent(X).verdict:
-        return True, every_frame
 
     def missed_twice(fs: frozenset) -> tuple[int, ...] | None:
         return next((tuple(sorted(s)) for s in simplices if len(s - fs) > 1), None)
 
-    if X.rank() == X.dim:
+    if X.rank() == X.dim and not positively_dependent(X).verdict:
         B = frozenset(basis_decomposition(X).basis)
         if not any(
             B <= f.member_set() and missed_twice(f.member_set()) is None
@@ -208,7 +206,7 @@ def _check_maxind(X: VecSet) -> tuple[bool, str]:
         (f.members, s) for f in frames if (s := missed_twice(f.member_set()))
     ]
     if not missed:
-        return True, every_frame
+        return True, "frames meet every simplex in all but one element"
     if sum(map(len, simplices)) == len(frozenset().union(*simplices)):
         members, s = missed[0]
         return False, f"frame {members} misses two of {s}"

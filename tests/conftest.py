@@ -154,6 +154,23 @@ def oracle_skeleton_contains(p: QVec, X: VecSet) -> bool:
     )
 
 
+def oracle_extract_positive_basis(X: VecSet) -> tuple[int, ...]:
+    """The kept indices of a positive basis inside a positively spanning X,
+    by rounds, as ``spanset.extract_positive_basis`` found them before its
+    single pass: each round asks every kept element's LP and deletes the
+    highest-index removable one."""
+    kept = list(X.indices())
+    while True:
+        removable = [
+            i
+            for i in kept
+            if solve_nonneg(X.matrix([j for j in kept if j != i]), X[i]).feasible
+        ]
+        if not removable:
+            return tuple(kept)
+        kept.remove(max(removable))
+
+
 @lru_cache(maxsize=64)
 def _cached_proper_flats(X: VecSet) -> list[tuple[int, ...]]:
     return oracle_proper_flats(X)

@@ -138,6 +138,32 @@ class TestExitCodes:
         code, _, err = run_cli(["analyze"], "not json", monkeypatch, capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"dim": 1, "vectors": [["1"], [True]]}, "vector 1: boolean entry"),
+            ({"dim": 1, "vectors": [["1"], [None]]}, "vector 1: unsupported entry None"),
+            ([["1"], ["-1"]], 'input must be {"dim": d, "vectors": [[...], ...]}'),
+            ({"dim": 0, "vectors": []}, "dim must be a positive integer, got 0"),
+            ({"dim": "2", "vectors": []}, "dim must be a positive integer, got '2'"),
+            ({"dim": 2, "vectors": "1,0"}, "vectors must be a list"),
+            ({"dim": 2, "vectors": [["1", "0"], ["1"]]}, "vector 1: expected 2 entries"),
+        ],
+        ids=["boolean", "null", "top-level-list", "dim-zero", "dim-string", "vectors-not-list", "short-row"],
+    )
+    def test_malformed_input_is_input_error(self, payload, message, monkeypatch, capsys):
+        code, out, err = run_cli(["analyze"], json.dumps(payload), monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_unreadable_path_is_input_error(self, tmp_path, monkeypatch, capsys):
+        missing = tmp_path / "missing.json"
+        code, out, err = run_cli(["analyze", str(missing)], monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {missing}: ")
+
     def test_max_size_guard(self, monkeypatch, capsys):
         rows = [[str(k)] for k in range(1, 20)]
         payload = json.dumps({"dim": 1, "vectors": rows})

@@ -269,6 +269,15 @@ class TestRestrictFrames:
         assert len(res.preimages) == 3
         assert all(len(p) >= 1 for p in res.preimages)
 
+    def test_frames_sharing_a_trace_collide_at_full_rank(self):
+        # (-2,-1) and (2,1) split frame (0,2) of Y = {e1, e2, -e1-e2} into
+        # frames 1 and 2 of X, whose common part {e1, -e1-e2} spans R^2
+        X = VecSet(2, [[1, 0], [0, 1], [-1, -1], [-2, -1], [2, 1]])
+        res = restrict_frames(X, X.subset([0, 1, 2]))
+        assert res.traces[1] == res.traces[2] == (0, 2)
+        assert res.collisions == ((1, 2, 2),)
+        assert res.collisions_full_rank
+
     def test_rejects_non_spanning_subset(self):
         X = s_union_minus_s()
         with pytest.raises(PreconditionError):

@@ -6,6 +6,16 @@ integer core replaced it.  ``TestDeterminism`` in ``test_cli.py`` compares
 two runs of the same build; this module compares every build against those
 recorded answers, so a change of arithmetic that moves any printed number,
 index or verdict fails here.
+
+Three digests were re-recorded since: ``verify`` on x9, polygon3 and C.
+On these positively dependent sets the ``frame_simplex_intersections``
+check used to report "frames meet every simplex in all but one element"
+without checking it; it now counts the frames that miss two members of an
+overlapping simplex (18 of 18, 6 of 6 and 1 of 4).
+
+``PYTHONPATH=src python tests/test_golden.py`` prints the current
+``GOLDEN`` table in this file's format.  Re-record a digest only for a
+declared change of output.
 """
 
 import hashlib
@@ -81,7 +91,7 @@ GOLDEN = {
     ("x9", "cones"): "53c234e5e8472b6a",
     ("x9", "gale"): "0d63736dabd335af",
     ("x9", "reay"): "53c234e5e8472b6a",
-    ("x9", "verify"): "42ad2735fcb2f35d",
+    ("x9", "verify"): "30090d48a63f8910",
     ("polygon3", "analyze"): "536e69a7e0191c66",
     ("polygon3", "simplices"): "fe399e8b508d68cf",
     ("polygon3", "lattice"): "c55f3d462253359a",
@@ -89,7 +99,7 @@ GOLDEN = {
     ("polygon3", "cones"): "b96c7e9d7e05b7eb",
     ("polygon3", "gale"): "1c0e78c33daa86a9",
     ("polygon3", "reay"): "53c234e5e8472b6a",
-    ("polygon3", "verify"): "1ca87decb9592477",
+    ("polygon3", "verify"): "384655e0a5b560f3",
     ("cross2", "analyze"): "ceb834d9ad74e234",
     ("cross2", "simplices"): "21555b16ff203373",
     ("cross2", "lattice"): "4ac8b0ed59d01d84",
@@ -129,7 +139,7 @@ GOLDEN = {
     ("C", "cones"): "a645c13bdcf56ab4",
     ("C", "gale"): "57f149955b869450",
     ("C", "reay"): "53c234e5e8472b6a",
-    ("C", "verify"): "420b0b433b1517f6",
+    ("C", "verify"): "0b123c6e5018dcf5",
     ("pointed", "analyze"): "8edc1343340116df",
     ("pointed", "simplices"): "6c7030db220b6569",
     ("pointed", "lattice"): "53c234e5e8472b6a",
@@ -155,3 +165,16 @@ def test_golden_outputs(name):
     got = {(name, cmd): _digest(X, cmd) for cmd in COMMANDS}
     want = {key: GOLDEN[key] for key in got}
     assert got == want
+
+
+def _golden_table() -> str:
+    rows = [
+        f'    ("{name}", "{cmd}"): "{_digest(build(), cmd)}",'
+        for name, build in CORPUS.items()
+        for cmd in COMMANDS
+    ]
+    return "\n".join(["GOLDEN = {", *rows, "}"])
+
+
+if __name__ == "__main__":
+    print(_golden_table())

@@ -9,7 +9,13 @@ from psskit import QMat, QVec, kernel_basis, rank, solve_nonneg, strict_separato
 from psskit.errors import DimensionMismatchError, ZeroVectorError
 from psskit.ratlin import _echelon, solve_linear
 
-from conftest import brute_force_nonneg_zero_combo, oracle_rank, oracle_rref, vecsets
+from conftest import (
+    brute_force_nonneg_zero_combo,
+    oracle_rank,
+    oracle_rref,
+    small_rats,
+    vecsets,
+)
 
 F = Fraction
 
@@ -204,6 +210,36 @@ class TestSolveNonneg:
             assert c >= 0
             rebuilt = rebuilt + X[j].scale(c)
         assert rebuilt == b
+
+    @settings(max_examples=60, deadline=None)
+    @given(vecsets(max_dim=3, max_size=5), st.data())
+    def test_basic_solution_has_independent_support(self, X, data):
+        # degenerate systems too: parallel columns, a row that is the sum
+        # of the others (rank below the row count) and a zero rhs
+        columns = [list(v) for v in X]
+        for i in data.draw(st.lists(st.integers(0, len(X) - 1), max_size=3)):
+            c = data.draw(small_rats.filter(lambda c: c != 0))
+            columns.append([c * a for a in columns[i]])
+        if data.draw(st.booleans()):
+            columns = [col + [sum(col)] for col in columns]
+        weights = data.draw(
+            st.lists(
+                st.fractions(min_value=0, max_value=2, max_denominator=3),
+                min_size=len(columns),
+                max_size=len(columns),
+            )
+        )
+        if data.draw(st.booleans()):
+            weights = [F(0)] * len(columns)
+        rhs = [
+            sum((w * col[k] for w, col in zip(weights, columns)), F(0))
+            for k in range(len(columns[0]))
+        ]
+        res = solve_nonneg(QMat.from_columns(columns), QVec(rhs))
+        assert res.kind == "coefficients"
+        support = [j for j, c in res.coeffs.items() if c != 0]
+        assert all(res.coeffs[j] > 0 for j in support)
+        assert oracle_rank([columns[j] for j in support]) == len(support)
 
 
 class TestStrictSeparator:

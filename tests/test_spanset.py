@@ -26,17 +26,18 @@ from psskit.errors import (
     PreconditionError,
     ZeroVectorError,
 )
-from psskit.ratlin import strict_separator
+from psskit.ratlin import FeasWitness, strict_separator
 from psskit.conical import enumerate_mns
 from psskit.simplicial import enumerate_simplices
 from psskit import spanset
-from psskit.genlib import example_x9, make_cross, random_positive_basis
+from psskit.genlib import example_x9, make_cross, polygon_example, random_positive_basis
 
 from conftest import (
     apply_map,
     brute_force_membership,
     count_lp_calls,
     invertible_maps,
+    oracle_extract_positive_basis,
     oracle_is_pss,
     oracle_proper_flats,
     oracle_skeleton_contains,
@@ -162,6 +163,27 @@ class TestCaratheodory:
         with pytest.raises(PreconditionError):
             caratheodory_reduce(QVec([0, 0, 1]), VecSet(3, [[1, 0, 0], [0, 1, 0]]))
 
+    def test_runs_one_phase_one(self, monkeypatch):
+        calls = count_lp_calls(monkeypatch, names=("_phase_one",))
+        x9 = example_x9()
+        for p, X in (
+            (QVec([1, 1, 1]), QUAD),
+            (QVec([2, 0]), CROSS2),
+            (QVec.zero(2), SIMPLEX2),
+            (sum(x9, QVec.zero(x9.dim)), x9),
+        ):
+            calls.clear()
+            caratheodory_reduce(p, X)
+            assert len(calls) == 1
+
+    def test_dependent_basic_solution_is_an_internal_error(self, monkeypatch):
+        # a support that is not linearly independent cannot come from a
+        # basic solution; the re-check reports it instead of returning it
+        witness = FeasWitness.coefficients({0: F(1), 1: F(1), 2: F(1)})
+        monkeypatch.setattr(spanset, "solve_nonneg", lambda A, b: witness)
+        with pytest.raises(RuntimeError, match="dependent support"):
+            caratheodory_reduce(QVec.zero(2), SIMPLEX2)
+
     @settings(max_examples=40, deadline=None)
     @given(vecsets(max_dim=3, max_size=6), st.data())
     def test_support_negatively_independent(self, X, data):
@@ -199,6 +221,9 @@ class TestSkeletonCore:
 
     def test_core_interior_point(self):
         assert core_contains(QVec([1, 1]), SIMPLEX2)
+
+    def test_core_excludes_points_outside_the_cone(self):
+        assert not core_contains(QVec([-1, 1]), VecSet(2, [[1, 0], [0, 1]]))
 
     def test_core_excludes_rays(self):
         assert not core_contains(QVec([1, 0]), SIMPLEX2)
@@ -366,6 +391,26 @@ class TestOneLpOracles:
             assert len(calls) == 1
 
 
+def _dependent_pss_pool():
+    """Positive bases of R^d, d = 1..4, each with one to three extra vectors
+    of its span, shuffled: positively dependent sets that positively span."""
+    rng = random.Random(7)
+    pool = []
+    for d in range(1, 5):
+        for n in range(1, d + 1):
+            for seed in range(3):
+                B = random_positive_basis(d, n, seed)
+                vectors = list(B.vectors)
+                for _ in range(rng.randint(1, 3)):
+                    v = sum((x.scale(rng.randint(-2, 2)) for x in B), QVec.zero(d))
+                    if not v.is_zero() and v not in vectors:
+                        vectors.append(v)
+                if len(vectors) > len(B):
+                    rng.shuffle(vectors)
+                    pool.append(VecSet(d, vectors))
+    return pool
+
+
 class TestExtractOracle:
     def test_output_is_a_brute_force_basis(self):
         from itertools import combinations
@@ -383,6 +428,30 @@ class TestExtractOracle:
         # every other maximal positively independent spanning subset is
         # also a valid answer; the greedy one is just the pinned choice
         assert (0, 1, 2, 3) in all_bases
+
+    @pytest.mark.parametrize(
+        "X", _dependent_pss_pool(), ids=lambda X: f"d{X.dim}n{len(X)}"
+    )
+    def test_pass_matches_round_oracle(self, X):
+        assert is_pss(X) and positively_dependent(X).verdict
+        _, kept = extract_positive_basis(X)
+        assert kept == oracle_extract_positive_basis(X)
+
+    def test_pool_spans_every_dimension(self):
+        assert {X.dim for X in _dependent_pss_pool()} == {1, 2, 3, 4}
+
+    def test_pass_asks_one_lp_per_element(self, monkeypatch):
+        # on x9 the rounds asked 30 LPs, on polygon_example(4) 33, on C 9
+        C = VecSet(2, [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]])
+        sets = [example_x9(), polygon_example(4), C] + _dependent_pss_pool()
+        for X in sets:
+            is_pss(X)
+            positively_dependent(X)
+        calls = count_lp_calls(monkeypatch, ("solve_nonneg",))
+        for X in sets:
+            calls.clear()
+            extract_positive_basis(X)
+            assert len(calls) == len(X)
 
 
 class TestRintPositiveSpan:

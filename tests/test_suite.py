@@ -105,6 +105,25 @@ def test_frame_missing_two_members_of_a_simplex_is_pinned(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
+def test_frame_detail_on_a_dependent_set_counts_its_misses():
+    # x9 is positively dependent: every one of its 18 frames misses two
+    # members of some simplex, e.g. frame (0,1,3,4,6,7) and simplex (2,5,6),
+    # and the check says so instead of claiming the all-but-one property.
+    X = example_x9()
+    frames, simplices = _frames_and_simplices(X)
+    frame, simplex = frozenset({0, 1, 3, 4, 6, 7}), frozenset({2, 5, 6})
+    assert frame in frames and simplex in simplices
+    assert simplex - frame == {2, 5}
+    assert len(frames) == 18
+    assert all(any(len(s - f) > 1 for s in simplices) for f in frames)
+    check = next(c for c in run_property_suite(X) if c.name == "frame_simplex_intersections")
+    assert check.passed
+    assert check.detail == (
+        "18 of 18 frames miss two members of an overlapping simplex; "
+        "every frame is maximal"
+    )
+
+
 @pytest.mark.parametrize(
     "args",
     [(d, n, seed) for d in (4, 5, 6) for n in (2, 3) for seed in (0, 1)]
