@@ -324,30 +324,35 @@ def cmd_verify(args) -> int:
     return _EXIT_OK if ok else _EXIT_SUITE
 
 
-def _parse_fractions_list(raw: str) -> list[Fraction]:
-    return [Fraction(tok.strip()) for tok in raw.split(",") if tok.strip()]
+def _parse_list(raw: str, flag: str, parse=Fraction) -> list:
+    try:
+        return [parse(tok.strip()) for tok in raw.split(",") if tok.strip()]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliInputError(f"{flag}: bad entry in {raw!r} ({exc})")
 
 
 def cmd_generate(args) -> int:
     kind = args.kind
     if kind == "cross":
-        scales = _parse_fractions_list(args.scales) if args.scales else None
+        scales = _parse_list(args.scales, "--scales") if args.scales else None
         X = make_cross(args.dim, scales)
     elif kind == "simplex":
-        coeffs = _parse_fractions_list(args.coeffs) if args.coeffs else None
+        coeffs = _parse_list(args.coeffs, "--coeffs") if args.coeffs else None
         X = make_simplex(args.dim, coeffs)
     elif kind == "antichain":
         if not args.subsets:
             raise CliInputError("antichain needs --subsets like '1,2;2,3'")
-        subsets = [
-            frozenset(int(tok) for tok in group.split(",") if tok.strip())
-            for group in args.subsets.split(";")
-            if group.strip()
-        ]
+        groups = [group for group in args.subsets.split(";") if group.strip()]
+        subsets = [frozenset(_parse_list(group, "--subsets", int)) for group in groups]
         X = make_from_antichain(AntichainSpec(args.dim, subsets))
     elif kind == "x9":
         X = example_x9()
     elif kind == "polygon":
+        if 2 * args.pairs > args.max_size:  # its frame self-check is exponential
+            raise CliInputError(
+                f"polygon of {2 * args.pairs} vectors is beyond the scan guard "
+                f"{args.max_size}; raise PSSKIT_MAX_SIZE to override"
+            )
         X = polygon_example(args.pairs)
     elif kind == "random":
         X = random_positive_basis(args.dim, args.count, args.seed)
@@ -410,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--pairs", type=int, default=3, help="antipodal pairs (polygon)")
     g.add_argument("--count", type=int, default=1, help="simplex count (random)")
     g.add_argument("--seed", type=int, default=0, help="seed (random)")
-    g.set_defaults(fn=cmd_generate)
+    g.set_defaults(fn=cmd_generate, max_size=default_limit)
     return parser
 
 

@@ -1,9 +1,11 @@
 """Dependency spaces, nonnegative dependency bases and Gale diagrams.
 
 A *dependency* of a vector set is a coefficient function whose weighted
-sum of the vectors is zero.  For positively spanning sets the nonnegative
+sum of the vectors is zero.  For positively spanning sets the simplex
 dependencies linearly span the whole dependency space, so a nonnegative
-basis exists; it is constructed by the repair loop below.  Evaluating a
+basis exists: the first linearly independent ones in simplex order.  With
+simplex indicator functions in their place, the same choice gives the
+characteristic basis of a locally equilibrated set.  Evaluating a
 dependency basis at each vector and normalising on the L1 sphere gives
 the Gale diagram, whose point classes match simplex-membership classes
 exactly on locally equilibrated sets.
@@ -49,10 +51,7 @@ class GaleDiagram:
 
 
 def _check_dependency(X: VecSet, v) -> None:
-    acc = QVec.zero(X.dim)
-    for i in X.indices():
-        acc = acc + X[i].scale(v[i])
-    if not acc.is_zero():
+    if not sum((X[i].scale(v[i]) for i in X.indices()), QVec.zero(X.dim)).is_zero():
         raise PropertyViolation("coefficients do not form a dependency")
 
 
@@ -68,74 +67,50 @@ def dependency_basis(X: VecSet) -> list[Dependency]:
 
 def simplex_dependency(X: VecSet, s: Simplex) -> Dependency:
     """The strictly positive dependency of one simplex, zero elsewhere."""
-    coeffs = [_ZERO] * len(X)
-    for i, c in s.dependency.items():
-        coeffs[i] = c
-    return Dependency(tuple(coeffs))
+    return Dependency(tuple(s.dependency.get(i, _ZERO) for i in X.indices()))
+
+
+def _first_independent(X: VecSet, row, what: str) -> list[Dependency]:
+    """The first linearly independent ``row(s)`` over the simplices s of X,
+    in canonical order: a basis of the dependency space, re-checked."""
+    target = len(X) - X.rank()
+    chosen: list[list[Fraction]] = []
+    for s in enumerate_simplices(X):
+        if len(chosen) == target:
+            break
+        v = row(s)
+        if column_rank(chosen + [v]) > len(chosen):
+            chosen.append(v)
+    if len(chosen) != target:
+        raise PropertyViolation(f"{what} failed to span")
+    for v in chosen:
+        _check_dependency(X, v)
+    return [Dependency(tuple(v)) for v in chosen]
 
 
 def nonneg_dependency_basis(X: VecSet) -> list[Dependency]:
     """A basis of the dependency space with nonnegative coefficients.
 
-    Requires X to positively span its hull.  Each kernel-basis vector is
-    repaired: while it has a negative entry, the lowest-index negative
-    entry is cancelled by adding the dependency of a simplex through that
-    element, scaled to zero it out.  Entries never decrease, so repairs
-    terminate.  Repaired vectors are then completed to an independent
-    spanning family, drawing on the simplex dependencies when needed
-    (the repaired vectors alone can be linearly dependent).
+    Requires X to positively span its hull.  The basis is the first
+    linearly independent simplex dependencies in canonical simplex order.
+    They span: a dependency plus a large multiple of a strictly positive
+    one is nonnegative, and a nonnegative dependency is a sum of simplex
+    dependencies on subsets of its support (conformal decomposition into
+    elementary vectors, Rockafellar 1969).
     """
     if not is_pss(X):
         raise PreconditionError("set does not positively span its hull")
-    simplices = enumerate_simplices(X)
-    by_member: dict[int, Simplex] = {}
-    for s in simplices:
-        for i in s.members:
-            by_member.setdefault(i, s)
-    target = len(X) - X.rank()
-
-    repaired: list[list[Fraction]] = []
-    for dep in dependency_basis(X):
-        v = list(dep.coeffs)
-        while True:
-            k = next((i for i, c in enumerate(v) if c < 0), None)
-            if k is None:
-                break
-            s = by_member.get(k)
-            if s is None:
-                raise PropertyViolation("element of a spanning set in no simplex")
-            scale = -v[k] / s.dependency[k]
-            for i, c in s.dependency.items():
-                v[i] += scale * c
-            assert v[k] == 0
-        repaired.append(v)
-
-    chosen: list[list[Fraction]] = []
-    pool = repaired + [list(simplex_dependency(X, s).coeffs) for s in simplices]
-    for cand in pool:
-        if len(chosen) == target:
-            break
-        if column_rank(chosen + [cand]) == len(chosen) + 1:
-            chosen.append(cand)
-    if len(chosen) != target:
-        raise PropertyViolation("nonnegative dependencies failed to span")
-    out = [Dependency(tuple(v)) for v in chosen]
-    for v in out:
-        _check_dependency(X, v)
-        if not v.is_nonnegative():
-            raise PropertyViolation("repair loop left a negative entry")
-    return out
+    return _first_independent(
+        X, lambda s: list(simplex_dependency(X, s).coeffs), "nonnegative dependencies"
+    )
 
 
 def is_locally_equilibrated(X: VecSet) -> bool:
     """Whether the members of every simplex sum exactly to zero."""
-    for s in enumerate_simplices(X):
-        acc = QVec.zero(X.dim)
-        for i in s.members:
-            acc = acc + X[i]
-        if not acc.is_zero():
-            return False
-    return True
+    return all(
+        sum((X[i] for i in s.members), QVec.zero(X.dim)).is_zero()
+        for s in enumerate_simplices(X)
+    )
 
 
 def gale_diagram(X: VecSet, basis: list[Dependency]) -> GaleDiagram:
@@ -156,11 +131,8 @@ def gale_diagram(X: VecSet, basis: list[Dependency]) -> GaleDiagram:
     points = []
     for i in X.indices():
         w = [v[i] for v in basis]
-        norm = sum((abs(c) for c in w), _ZERO)
-        if norm == 0:
-            points.append(QVec.zero(n))
-        else:
-            points.append(QVec(c / norm for c in w))
+        norm = sum((abs(c) for c in w), _ZERO) or _ONE
+        points.append(QVec(c / norm for c in w))
     return GaleDiagram(tuple(basis), tuple(points))
 
 
@@ -168,27 +140,18 @@ def characteristic_basis(X: VecSet) -> list[Dependency]:
     """A dependency basis of simplex indicator functions.
 
     Exists whenever X positively spans its hull and is locally
-    equilibrated; chosen greedily over the canonical simplex order.
+    equilibrated: the first linearly independent indicators in canonical
+    simplex order.
     """
     if not is_pss(X):
         raise PreconditionError("set does not positively span its hull")
     if not is_locally_equilibrated(X):
         raise PreconditionError("set is not locally equilibrated")
-    target = len(X) - X.rank()
-    chosen: list[list[Fraction]] = []
-    deps: list[Dependency] = []
-    for s in enumerate_simplices(X):
-        if len(chosen) == target:
-            break
-        indicator = [_ONE if i in s.dependency else _ZERO for i in X.indices()]
-        if column_rank(chosen + [indicator]) == len(chosen) + 1:
-            chosen.append(indicator)
-            deps.append(Dependency(tuple(indicator)))
-    if len(chosen) != target:
-        raise PropertyViolation("indicator functions failed to span")
-    for v in deps:
-        _check_dependency(X, v)
-    return deps
+    return _first_independent(
+        X,
+        lambda s: [_ONE if i in s else _ZERO for i in X.indices()],
+        "indicator functions",
+    )
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ one element), which yields the disjoint partition with telescoping
 dimensions and the swap trichotomy implemented below.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -16,6 +17,7 @@ from .errors import PreconditionError, PropertyViolation
 from .ratlin import QVec, column_rank, kernel_basis, solve_linear, solve_nonneg
 from .spanset import (
     VecSet,
+    _independent_walk,
     _memoized,
     in_rint_positive_span,
     is_positive_basis,
@@ -111,19 +113,21 @@ def is_simplex(S: VecSet) -> Simplex | None:
 def enumerate_simplices(X: VecSet) -> SimplexSet:
     """All simplex subsets of X, in canonical member order.
 
-    Scans subsets of size 2 .. rank(X)+1 (a simplex has cardinality one
-    more than its rank, so nothing larger can qualify).
+    A simplex C minus its largest member j is independent, and j lies in
+    its span but, the dependency having full support, not in the span of
+    the members before the last.  So the walk over independent sets meets
+    each C once, as j with the residual its last member cleared, and the
+    kernel test decides it.
     """
-    n = len(X)
-    r = X.rank()
-    found: list[Simplex] = []
-    for k in range(2, min(n, r + 1) + 1):
-        for sub in combinations(range(n), k):
-            simplex = _simplex_on(X, sub)
-            if simplex is not None:
-                found.append(simplex)
-    found.sort(key=lambda s: s.members)
-    return found
+    found: list[Simplex | None] = []
+
+    def visit(members, residuals, parent):
+        for j in range(members[-1] + 1, len(X)) if members else ():
+            if any(parent[j]) and not any(residuals[j]):
+                found.append(_simplex_on(X, members + (j,)))
+
+    _independent_walk(X, X.rank(), visit)
+    return sorted((s for s in found if s is not None), key=lambda s: s.members)
 
 
 def positively_spanning_subsets(X: VecSet) -> list[tuple[int, ...]]:
@@ -200,13 +204,10 @@ def basis_decomposition(X: VecSet) -> BasisDecomposition:
         raise PreconditionError("positive basis does not span the full space")
     simplices = enumerate_simplices(X)
     n = len(simplices)
+    owners = Counter(i for s in simplices for i in s.members)
     pairs: list[tuple[int, tuple[int, ...]]] = []
-    for idx, s in enumerate(simplices):
-        others = set()
-        for jdx, t in enumerate(simplices):
-            if jdx != idx:
-                others.update(t.members)
-        private = [i for i in s.members if i not in others]
+    for s in simplices:
+        private = [i for i in s.members if owners[i] == 1]
         if not private:
             raise PropertyViolation("simplex of a positive basis has no private element")
         x_i = max(private)
@@ -297,12 +298,10 @@ def sxy_classify(S: VecSet, y: QVec) -> SwapReport:
     if solve_linear(S.columns(), list(y)) is None:
         raise PreconditionError("extra vector outside the span of the simplex")
 
-    exists_swap = False
-    for i in S.indices():
-        swapped, _ = replace_element(S, i, y)
-        if solve_nonneg(swapped.matrix(), S[i]).feasible:
-            exists_swap = True
-            break
+    exists_swap = any(
+        solve_nonneg(replace_element(S, i, y)[0].matrix(), S[i]).feasible
+        for i in S.indices()
+    )
 
     extended = VecSet(S.dim, list(S.vectors) + [y])
     base_rank = S.rank()

@@ -253,31 +253,47 @@ def _eliminate(v: list[int], row: list[int], pc: int) -> list[int]:
     return [a // g for a in w] if g > 1 else w
 
 
+def _independent_walk(X: VecSet, size: int, visit) -> None:
+    """Call ``visit(members, residuals, parent)`` on each independent subset
+    of X of at most ``size`` elements, depth first in lexicographic order.
+
+    The residuals are the vectors reduced against an integer echelon form
+    of ``members``: a nonzero one extends the set, a zero one lies in its
+    span.  ``parent`` holds them before the last member (None at the root).
+    """
+
+    def walk(members: tuple[int, ...], residuals, parent):
+        visit(members, residuals, parent)
+        if len(members) == size:
+            return
+        for j in range(members[-1] + 1 if members else 0, len(X)):
+            row = residuals[j]
+            if any(row):
+                for pc, a in enumerate(row):  # the first nonzero entry
+                    if a:
+                        break
+                reduced = [_eliminate(v, row, pc) for v in residuals]
+                walk(members + (j,), reduced, residuals)
+
+    walk((), [_primitive(v) for v in X], None)
+
+
 def _hyperplane_flats(X: VecSet) -> list[tuple[int, ...]]:
     """The closures of the independent (r-1)-subsets of X, r = rank(X).
 
     These are the inclusion-maximal proper flats: every subset with a
     proper linear span extends, through a linear basis of it, to an
-    independent (r-1)-subset whose closure contains it.  The walk over
-    independent sets keeps every vector reduced against an integer echelon
-    form of the current set: a vector extends the set iff its residual is
-    nonzero, and lies in the closure iff it is zero.
+    independent (r-1)-subset whose closure contains it.  The closure of a
+    subset is read off the walk's zero residuals.
     """
-    n = len(X)
     r = X.rank()
     closures: set[tuple[int, ...]] = set()
 
-    def walk(residuals: list[list[int]], depth: int, start: int):
-        if depth == r - 1:
+    def visit(members, residuals, _parent):
+        if len(members) == r - 1:
             closures.add(tuple(j for j, v in enumerate(residuals) if not any(v)))
-            return
-        for j in range(start, n):
-            row = residuals[j]
-            if any(row):
-                pc = next(k for k, a in enumerate(row) if a)
-                walk([_eliminate(v, row, pc) for v in residuals], depth + 1, j + 1)
 
-    walk([_primitive(v) for v in X], 0, 0)
+    _independent_walk(X, r - 1, visit)
     return sorted(closures, key=lambda t: (len(t), t))
 
 

@@ -135,6 +135,22 @@ def oracle_proper_flats(X: VecSet) -> list[tuple[int, ...]]:
     return sorted(closures, key=lambda t: (len(t), t))
 
 
+def oracle_enumerate_simplices(X: VecSet) -> list:
+    """All simplices by the subset scan ``simplicial.enumerate_simplices``
+    ran before it walked the independent sets: one kernel per subset of
+    size 2 .. rank + 1, kept when it is one vector with positive entries."""
+    from psskit.simplicial import Simplex
+
+    n = len(X)
+    found = []
+    for k in range(2, min(n, oracle_column_rank(X.columns()) + 1) + 1):
+        for sub in combinations(range(n), k):
+            kern = kernel_basis(X.matrix(sub))
+            if len(kern) == 1 and all(c > 0 for c in kern[0]):
+                found.append(Simplex(sub, dict(zip(sub, kern[0]))))
+    return sorted(found, key=lambda s: s.members)
+
+
 def oracle_is_pss(X: VecSet) -> bool:
     """Positive spanning by one LP per element: every -x in the positive
     span, as ``spanset.is_pss`` decided it before it took one LP."""

@@ -198,6 +198,60 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: PSSKIT_MAX_SIZE must be an integer, got 'abc'\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["antichain", "--subsets", "a"],
+                "--subsets: bad entry in 'a' (invalid literal for int() with base 10: 'a')",
+            ),
+            (
+                ["cross", "--scales", "x,1"],
+                "--scales: bad entry in 'x,1' (Invalid literal for Fraction: 'x')",
+            ),
+            (["cross", "--scales", "1/0,1"], "--scales: bad entry in '1/0,1' (Fraction(1, 0))"),
+            (
+                ["simplex", "--coeffs", "1,foo"],
+                "--coeffs: bad entry in '1,foo' (Invalid literal for Fraction: 'foo')",
+            ),
+        ],
+        ids=["subsets-not-int", "scales-not-rational", "scales-zero-denominator", "coeffs-not-rational"],
+    )
+    def test_malformed_generate_option_is_input_error(self, argv, message, monkeypatch, capsys):
+        code, out, err = run_cli(["generate", *argv], monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_polygon_beyond_scan_guard_is_input_error(self, monkeypatch, capsys):
+        # 20 vectors: the generator's exponential frame self-check never starts
+        code, out, err = run_cli(
+            ["generate", "polygon", "--pairs", "10"], monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: polygon of 20 vectors is beyond the scan guard 18; "
+            "raise PSSKIT_MAX_SIZE to override\n"
+        )
+
+    def test_polygon_guard_follows_env_var(self, monkeypatch, capsys):
+        monkeypatch.setenv("PSSKIT_MAX_SIZE", "5")
+        code, _, err = run_cli(
+            ["generate", "polygon", "--pairs", "3"], monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert code == 2
+        assert "scan guard 5" in err
+
+    def test_polygon_within_guard_is_unchanged(self, monkeypatch, capsys):
+        import hashlib
+
+        out = generate(["generate", "polygon", "--pairs", "3"], monkeypatch, capsys)
+        # sha256 of the output before the guard existed
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f1b5cd3df4098753f45ae9971d278b14d13712f8736e947f10bf442e4b5fb8eb"
+        )
+
     def test_cones_on_non_pss_is_input_error(self, monkeypatch, capsys):
         payload = json.dumps({"dim": 2, "vectors": [["1", "0"], ["0", "1"]]})
         code, _, _ = run_cli(["cones"], payload, monkeypatch, capsys)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,14 +12,19 @@ from psskit import (
     dependency_basis,
     gale_diagram,
     is_locally_equilibrated,
+    is_pss,
     nonneg_dependency_basis,
+    positively_dependent,
     verify_gale_theorem,
 )
 from psskit.errors import PreconditionError
-from psskit.gale import Dependency
+from psskit.gale import Dependency, simplex_dependency
 from psskit.genlib import example_x9, make_cross, make_simplex, random_positive_basis
 from psskit.ratlin import column_rank, solve_nonneg, QMat
 from psskit.simplicial import enumerate_simplices
+from psskit.suite import _check_gale_basis
+
+from conftest import oracle_column_rank
 
 F = Fraction
 
@@ -86,6 +92,74 @@ class TestNonnegBasis:
             check_is_dependency(X, v)
         if basis:
             assert column_rank([list(v.coeffs) for v in basis]) == len(basis)
+
+
+def _gale_pool():
+    """30 seeded positively spanning sets: 15 positive bases, d = 2..5, and
+    each with one or two extra integer combinations of its vectors."""
+    rng = random.Random(12)
+    pool = []
+    for seed in range(15):
+        d = 2 + seed % 4
+        B = random_positive_basis(d, 1 + seed % d, seed)
+        vectors = list(B.vectors)
+        while len(vectors) < len(B) + 1 + seed % 2:
+            v = sum((x.scale(rng.randint(-2, 2)) for x in B), QVec.zero(d))
+            if not v.is_zero() and v not in vectors:
+                vectors.append(v)
+        rng.shuffle(vectors)
+        pool += [B, VecSet(d, vectors)]
+    return pool
+
+
+def _first_independent_run(X, rows):
+    """The rows, in order, that raise the rank of those kept before them."""
+    kept = []
+    for row in rows:
+        if len(kept) == len(X) - X.rank():
+            break
+        if oracle_column_rank(kept + [row]) == len(kept) + 1:
+            kept.append(row)
+    return kept
+
+
+class TestNonnegBasisFromSimplices:
+    POOL = _gale_pool()
+
+    @pytest.mark.parametrize("X", POOL, ids=lambda X: f"d{X.dim}n{len(X)}")
+    def test_first_independent_simplex_dependencies(self, X):
+        simplices = enumerate_simplices(X)
+        deps = [simplex_dependency(X, s) for s in simplices]
+        basis = nonneg_dependency_basis(X)
+        assert all(v in deps for v in basis)
+        run = _first_independent_run(X, [list(v.coeffs) for v in deps])
+        assert [list(v.coeffs) for v in basis] == run
+        assert _check_gale_basis(X) == (True, f"nonnegative dependency basis of size {len(basis)}")
+
+    def test_pool_is_spanning_and_has_dependent_sets(self):
+        assert len(self.POOL) == 30
+        assert all(is_pss(X) for X in self.POOL)
+        assert sum(positively_dependent(X).verdict for X in self.POOL) == 15
+
+    def test_characteristic_basis_is_the_first_independent_indicators(self):
+        doubled = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+        doubled += [[-a for a in v] for v in doubled]
+        candidates = self.POOL + [
+            make_cross(3),
+            make_simplex(4),
+            example_x9(),
+            s_union_minus_s(),
+            VecSet(2, [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]]),
+            VecSet(3, doubled),
+        ]
+        equilibrated = [X for X in candidates if is_locally_equilibrated(X)]
+        assert len(equilibrated) >= 6
+        for X in equilibrated:
+            indicators = [
+                [F(int(i in s)) for i in X.indices()] for s in enumerate_simplices(X)
+            ]
+            want = _first_independent_run(X, indicators)
+            assert [list(v.coeffs) for v in characteristic_basis(X)] == want
 
 
 class TestLocallyEquilibrated:

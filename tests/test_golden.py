@@ -13,6 +13,12 @@ check used to report "frames meet every simplex in all but one element"
 without checking it; it now counts the frames that miss two members of an
 overlapping simplex (18 of 18, 6 of 6 and 1 of 4).
 
+Three more were re-recorded since: ``gale`` on x9, polygon3 and C.  The
+nonnegative dependency basis is now the first linearly independent
+simplex dependencies in simplex order, where a repair loop used to patch
+the kernel basis.  On these three sets the printed basis and Gale points
+change; on the other six sets of the corpus they do not.
+
 ``PYTHONPATH=src python tests/test_golden.py`` prints the current
 ``GOLDEN`` table in this file's format.  Re-record a digest only for a
 declared change of output.
@@ -89,7 +95,7 @@ GOLDEN = {
     ("x9", "lattice"): "430582eb2c96901a",
     ("x9", "mns"): "4816346130051331",
     ("x9", "cones"): "53c234e5e8472b6a",
-    ("x9", "gale"): "0d63736dabd335af",
+    ("x9", "gale"): "9ffaec183679d174",
     ("x9", "reay"): "53c234e5e8472b6a",
     ("x9", "verify"): "30090d48a63f8910",
     ("polygon3", "analyze"): "536e69a7e0191c66",
@@ -97,7 +103,7 @@ GOLDEN = {
     ("polygon3", "lattice"): "c55f3d462253359a",
     ("polygon3", "mns"): "c648e4d5176677cc",
     ("polygon3", "cones"): "b96c7e9d7e05b7eb",
-    ("polygon3", "gale"): "1c0e78c33daa86a9",
+    ("polygon3", "gale"): "3844e73c101d743d",
     ("polygon3", "reay"): "53c234e5e8472b6a",
     ("polygon3", "verify"): "384655e0a5b560f3",
     ("cross2", "analyze"): "ceb834d9ad74e234",
@@ -137,7 +143,7 @@ GOLDEN = {
     ("C", "lattice"): "e41dbcdf94579ae3",
     ("C", "mns"): "202f5dd434c7e6a6",
     ("C", "cones"): "a645c13bdcf56ab4",
-    ("C", "gale"): "57f149955b869450",
+    ("C", "gale"): "6f1e23f83f5472dd",
     ("C", "reay"): "53c234e5e8472b6a",
     ("C", "verify"): "0b123c6e5018dcf5",
     ("pointed", "analyze"): "8edc1343340116df",

@@ -16,6 +16,7 @@ from psskit import (
     reay_partition,
     sxy_classify,
 )
+from psskit import simplicial
 from psskit.errors import PreconditionError
 from psskit.genlib import (
     AntichainSpec,
@@ -27,7 +28,7 @@ from psskit.genlib import (
 )
 from psskit.ratlin import column_rank
 
-from conftest import oracle_factorization_scan, vecsets
+from conftest import oracle_enumerate_simplices, oracle_factorization_scan, vecsets
 
 F = Fraction
 
@@ -93,6 +94,87 @@ class TestEnumerate:
                 sub = X.subset(rest)
                 assert sub.rank() == len(rest)
                 assert in_rint_positive_span(-X[z], sub)
+
+
+def _simplex_oracle_sets():
+    """Seeded sets, d = 1..6: spanning, pointed, rank-deficient and mixed,
+    integer and 16-bit rational, each with a parallel copy of one vector
+    and, unless pointed, an antiparallel copy of another."""
+    rng = random.Random(8)
+    sets = []
+    for d in range(1, 7):
+        for shape in ("spanning", "pointed", "low rank", "mixed"):
+            if shape == "low rank" and d == 1:
+                continue
+            for scaled in (False, True):
+                n = rng.randint(d, d + 2) if d > 1 else 2
+                vectors: list[list[int]] = []
+                while len(vectors) < n:
+                    v = [rng.randint(-3, 3) for _ in range(d)]
+                    if shape == "pointed":
+                        v[0] = rng.randint(1, 3)  # all in the open half-space
+                    if shape == "low rank":
+                        v[-1] = 0
+                    if any(v) and v not in vectors:
+                        vectors.append(v)
+                if shape == "spanning":  # close a positive dependency
+                    w = [rng.randint(1, 3) for _ in vectors]
+                    vectors.append([-sum(c * v[k] for c, v in zip(w, vectors)) for k in range(d)])
+                vectors.append([2 * a for a in vectors[0]])
+                if shape != "pointed":
+                    vectors.append([-3 * a for a in vectors[1]])
+                unique = []
+                for v in vectors:
+                    if any(v) and v not in unique:
+                        unique.append(v)
+                rng.shuffle(unique)
+                if scaled:
+                    unique = [
+                        [Fraction(rng.randint(1, 2**16), rng.randint(1, 2**16)) * a for a in v]
+                        for v in unique
+                    ]
+                sets.append(VecSet(d, unique))
+    return sets
+
+
+class TestSimplexWalkOracle:
+    SETS = _simplex_oracle_sets()
+
+    @pytest.mark.parametrize("X", SETS, ids=lambda X: f"d{X.dim}n{len(X)}r{X.rank()}")
+    def test_walk_matches_subset_scan(self, X):
+        # members and dependencies, in canonical order
+        assert enumerate_simplices(X) == oracle_enumerate_simplices(X)
+
+    def test_pool_covers_dimensions_ranks_and_kinds(self):
+        assert len(self.SETS) >= 40
+        assert {X.dim for X in self.SETS} == set(range(1, 7))
+        assert any(X.rank() < X.dim for X in self.SETS)
+        assert any(v.denominator > 1 for X in self.SETS for x in X for v in x)
+        simplex_counts = [len(oracle_enumerate_simplices(X)) for X in self.SETS]
+        assert 0 in simplex_counts and max(simplex_counts) >= 5
+
+    @pytest.mark.parametrize(
+        "build, simplices, gate",
+        [
+            # the subset scan asked 3,289 and 492 kernels
+            (lambda: make_cross(6), 6, 364),
+            # 79 when every vector of the span is a candidate, not only
+            # those whose residual the last member cleared
+            (lambda: random_positive_basis(6, 3, 1), 3, 22),
+        ],
+        ids=["cross6", "rpb631"],
+    )
+    def test_kernel_call_gate(self, build, simplices, gate, monkeypatch):
+        calls = []
+        original = simplicial.kernel_basis
+
+        def counted(M):
+            calls.append(1)
+            return original(M)
+
+        monkeypatch.setattr(simplicial, "kernel_basis", counted)
+        assert len(enumerate_simplices(build())) == simplices
+        assert len(calls) <= gate
 
 
 class TestFactorization:
