@@ -39,6 +39,7 @@ from .simplicial import (
     enumerate_simplices,
     factorization_condition,
     is_simplex,
+    positively_spanning_subsets,
     reay_partition,
 )
 from .spanset import VecSet, is_pss, positively_dependent
@@ -159,9 +160,7 @@ def cmd_analyze(args) -> int:
             "index": posdep.witness_index,
             "coefficients": _coeffs_json(posdep.witness_coeffs),
         }
-    lattice_size = None
-    if pss:
-        lattice_size = len(build_lattice(X))
+    lattice_size = len(positively_spanning_subsets(X)) if pss else None
     if basis and full:
         decomp = basis_decomposition(X)
         certificates["basis_decomposition"] = {
@@ -348,11 +347,6 @@ def cmd_generate(args) -> int:
     elif kind == "x9":
         X = example_x9()
     elif kind == "polygon":
-        if 2 * args.pairs > args.max_size:  # its frame self-check is exponential
-            raise CliInputError(
-                f"polygon of {2 * args.pairs} vectors is beyond the scan guard "
-                f"{args.max_size}; raise PSSKIT_MAX_SIZE to override"
-            )
         X = polygon_example(args.pairs)
     elif kind == "random":
         X = random_positive_basis(args.dim, args.count, args.seed)
@@ -415,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--pairs", type=int, default=3, help="antipodal pairs (polygon)")
     g.add_argument("--count", type=int, default=1, help="simplex count (random)")
     g.add_argument("--seed", type=int, default=0, help="seed (random)")
-    g.set_defaults(fn=cmd_generate, max_size=default_limit)
+    g.set_defaults(fn=cmd_generate)
     return parser
 
 

@@ -11,7 +11,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conical import enumerate_mns
 from .errors import PreconditionError, PropertyViolation
 from .ratlin import QVec
 from .spanset import VecSet, is_positive_basis
@@ -52,16 +51,12 @@ class AntichainSpec:
             covered |= s
         if covered != set(range(1, d + 1)):
             raise PreconditionError("subsets must cover every coordinate")
-        for a in range(len(subsets)):
-            rest = set()
-            for b in range(len(subsets)):
-                if b != a:
-                    rest |= subsets[b]
-            if subsets[a] <= rest:
-                raise PreconditionError(
-                    f"subset {a} has no private coordinate; the construction "
-                    "would be positively dependent"
-                )
+        a = _without_private_coordinate(subsets)
+        if a is not None:
+            raise PreconditionError(
+                f"subset {a} has no private coordinate; the construction "
+                "would be positively dependent"
+            )
         if weights is not None:
             weights = {k: Fraction(v) for k, v in weights.items()}
             for (k, j), w in weights.items():
@@ -70,6 +65,14 @@ class AntichainSpec:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "subsets", subsets)
         object.__setattr__(self, "weights", weights)
+
+
+def _without_private_coordinate(subsets) -> int | None:
+    """The first subset covered by the union of the others, else None."""
+    for a, s in enumerate(subsets):
+        if s <= set().union(*(t for b, t in enumerate(subsets) if b != a)):
+            return a
+    return None
 
 
 def _unit(d: int, k: int) -> QVec:
@@ -160,9 +163,10 @@ def polygon_example(n: int) -> VecSet:
     Points are taken on the rational unit circle via the tangent
     half-angle parametrisation; floating point only proposes the sample
     angles, every stored coordinate and every later decision is exact.
-    Antipodality is exact by construction.  The generator verifies the
-    combinatorial signature |maximal pointed frames| = 2n and refuses a
-    sample failing it.
+    Antipodality is exact by construction.  The half-angle samples must be
+    strictly increasing, so the n directions are distinct in [0, pi): every
+    pointed subset then lies in a run of n consecutive vectors, and the
+    maximal pointed frames are exactly those 2n runs.
     """
     if n < 1:
         raise PreconditionError("need at least one antipodal pair")
@@ -177,11 +181,7 @@ def polygon_example(n: int) -> VecSet:
         den = 1 + t * t
         upper.append(QVec(((1 - t * t) / den, 2 * t / den)))
     vectors = upper + [-p for p in upper]
-    X = VecSet(2, vectors)
-    frames = enumerate_mns(X)
-    if len(frames) != 2 * n:
-        raise PropertyViolation("sampled polygon lost the frame count 2n")
-    return X
+    return VecSet(2, vectors)
 
 
 def random_positive_basis(d: int, n: int, seed) -> VecSet:
@@ -208,16 +208,6 @@ def random_positive_basis(d: int, n: int, seed) -> VecSet:
         prev = c
     subsets = [set(b) for b in blocks]
 
-    def private_everywhere(cand: list[set]) -> bool:
-        for a in range(n):
-            rest = set()
-            for b in range(n):
-                if b != a:
-                    rest |= cand[b]
-            if cand[a] <= rest:
-                return False
-        return True
-
     for _ in range(2 * d):
         k = rng.randrange(n)
         missing = sorted(set(range(1, d + 1)) - subsets[k])
@@ -226,7 +216,7 @@ def random_positive_basis(d: int, n: int, seed) -> VecSet:
         j = rng.choice(missing)
         candidate = [set(s) for s in subsets]
         candidate[k] = candidate[k] | {j}
-        if private_everywhere(candidate):
+        if _without_private_coordinate(candidate) is None:
             subsets = candidate
     weights = {}
     for k in range(n):

@@ -271,36 +271,27 @@ def solve_linear(columns, rhs) -> list[Fraction] | None:
 # Phase-I simplex
 
 
-def _phase_one(columns: list[list[Fraction]], rhs: list[Fraction]):
-    """Find x >= 0 with ``sum_j x_j columns[j] = rhs``, else None.
+def _phase_one(rows: list[list[Fraction]], rhs: list[Fraction], n: int):
+    """Find x >= 0 with ``sum_j rows[i][j] x_j = rhs[i]`` for every i, else None.
 
-    Phase-I simplex over exact rationals.  Bland's rule: the entering
-    variable is the lowest-index negative reduced cost, the leaving row is
-    the minimum ratio with ties broken by lowest basic-variable index.
+    Phase-I simplex over exact rationals.  The tableau holds the n real
+    columns and the right-hand side, plus a bottom row of reduced costs and
+    minus the objective (the sum of the artificials), which every pivot
+    updates like any other row.  The artificials are basis labels n..n+m-1
+    only: an artificial never needs to re-enter, since once no real reduced
+    cost is negative, a positive objective proves infeasibility and a zero
+    objective leaves only degenerate pivots, which do not move x.  Bland's
+    rule: the entering column is the lowest-index negative reduced cost, the
+    leaving row is the minimum ratio with ties broken by lowest basic label.
     """
-    m = len(rhs)
-    n = len(columns)
-    width = n + m + 1
-    T: list[list[Fraction]] = []
-    for i in range(m):
-        coef = [columns[j][i] for j in range(n)]
-        bi = rhs[i]
-        if bi < 0:
-            coef = [-a for a in coef]
-            bi = -bi
-        row = coef + [_ZERO] * m + [bi]
-        row[n + i] = _ONE
-        T.append(row)
+    T = [
+        list(row) + [b] if b >= 0 else [-v for v in row] + [-b]
+        for row, b in zip(rows, rhs)
+    ]
+    m = len(T)
+    T.append([-sum(col) for col in zip(*T)] if T else [_ZERO] * (n + 1))
     basis = list(range(n, n + m))
-    # reduced costs for the phase-I objective (sum of artificials)
-    r = [_ZERO] * (n + m)
-    for j in range(n):
-        r[j] = -sum((T[i][j] for i in range(m)), _ZERO)
-
-    while True:
-        enter = next((j for j in range(n + m) if r[j] < 0), None)
-        if enter is None:
-            break
+    while (enter := next((j for j in range(n) if T[m][j] < 0), None)) is not None:
         leave = None
         best = None
         for i in range(m):
@@ -320,18 +311,13 @@ def _phase_one(columns: list[list[Fraction]], rhs: list[Fraction]):
         if piv != 1:
             T[leave] = [v / piv for v in T[leave]]
         prow = T[leave]
-        for i in range(m):
+        for i in range(m + 1):
             if i != leave and T[i][enter] != 0:
                 f = T[i][enter]
                 T[i] = [a - f * b for a, b in zip(T[i], prow)]
-        if r[enter] != 0:
-            f = r[enter]
-            for j in range(n + m):
-                r[j] -= f * prow[j]
         basis[leave] = enter
 
-    objective = sum((T[i][-1] for i in range(m) if basis[i] >= n), _ZERO)
-    if objective != 0:
+    if T[m][-1] != 0:
         return None
     x = [_ZERO] * n
     for i in range(m):
@@ -350,7 +336,7 @@ def solve_nonneg(A: QMat, b: QVec) -> FeasWitness:
         raise DimensionMismatchError(
             f"matrix has {A.rows} rows but rhs has dimension {b.dim}"
         )
-    x = _phase_one(A.column_lists(), list(b))
+    x = _phase_one(A.row_lists(), list(b), A.cols)
     if x is None:
         return FeasWitness.infeasible()
     for i in range(A.rows):
@@ -376,16 +362,11 @@ def strict_separator(vectors: list[QVec]) -> FeasWitness:
         return FeasWitness.of_separator(QVec.zero(0))
     d = vectors[0].dim
     m = len(vectors)
-    columns: list[list[Fraction]] = []
-    for k in range(d):
-        columns.append([x[k] for x in vectors])
-    for k in range(d):
-        columns.append([-x[k] for x in vectors])
-    for i in range(m):
-        col = [_ZERO] * m
-        col[i] = -_ONE
-        columns.append(col)
-    x = _phase_one(columns, [_ONE] * m)
+    rows = [
+        list(x) + [-v for v in x] + [-_ONE if k == i else _ZERO for k in range(m)]
+        for i, x in enumerate(vectors)
+    ]
+    x = _phase_one(rows, [_ONE] * m, 2 * d + m)
     if x is None:
         return FeasWitness.infeasible()
     z = QVec(x[k] - x[d + k] for k in range(d))

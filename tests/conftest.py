@@ -187,6 +187,70 @@ def oracle_extract_positive_basis(X: VecSet) -> tuple[int, ...]:
         kept.remove(max(removable))
 
 
+def oracle_phase_one(columns, rhs) -> tuple[list[Fraction] | None, bool]:
+    """Phase-I simplex with an explicit artificial block and a separate
+    reduced-cost vector, as ``ratlin._phase_one`` ran it before it kept the
+    real columns only: (x or None, whether an artificial re-entered).
+
+    Bland's rule scans the artificial columns too, so an artificial
+    re-enters once no real reduced cost is negative and some artificial's
+    is.
+    """
+    m = len(rhs)
+    n = len(columns)
+    T: list[list[Fraction]] = []
+    for i in range(m):
+        coef = [Fraction(columns[j][i]) for j in range(n)]
+        bi = Fraction(rhs[i])
+        if bi < 0:
+            coef = [-a for a in coef]
+            bi = -bi
+        row = coef + [Fraction(0)] * m + [bi]
+        row[n + i] = Fraction(1)
+        T.append(row)
+    basis = list(range(n, n + m))
+    r = [Fraction(0)] * (n + m)
+    for j in range(n):
+        r[j] = -sum((T[i][j] for i in range(m)), Fraction(0))
+    reentered = False
+    while True:
+        enter = next((j for j in range(n + m) if r[j] < 0), None)
+        if enter is None:
+            break
+        reentered |= enter >= n
+        leave = None
+        best = None
+        for i in range(m):
+            a = T[i][enter]
+            if a > 0:
+                ratio = T[i][-1] / a
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        piv = T[leave][enter]
+        T[leave] = [v / piv for v in T[leave]]
+        prow = T[leave]
+        for i in range(m):
+            if i != leave and T[i][enter] != 0:
+                f = T[i][enter]
+                T[i] = [a - f * b for a, b in zip(T[i], prow)]
+        f = r[enter]
+        r = [a - f * b for a, b in zip(r, prow)]
+        basis[leave] = enter
+    objective = sum((T[i][-1] for i in range(m) if basis[i] >= n), Fraction(0))
+    if objective != 0:
+        return None, reentered
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = T[i][-1]
+    return x, reentered
+
+
 @lru_cache(maxsize=64)
 def _cached_proper_flats(X: VecSet) -> list[tuple[int, ...]]:
     return oracle_proper_flats(X)

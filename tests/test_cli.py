@@ -223,25 +223,34 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {message}\n"
 
-    def test_polygon_beyond_scan_guard_is_input_error(self, monkeypatch, capsys):
-        # 20 vectors: the generator's exponential frame self-check never starts
+    def test_polygon_beyond_input_guard_generates(self, monkeypatch, capsys):
+        # 20 vectors: the generator runs no frame enumeration at all
+        import sys
+
+        from psskit.conical import enumerate_mns
+
+        def refuse(X):
+            raise AssertionError("polygon generation enumerated frames")
+
+        for name, mod in list(sys.modules.items()):
+            bound = vars(mod).get("enumerate_mns")
+            if name.split(".")[0] == "psskit" and bound is enumerate_mns:
+                monkeypatch.setattr(mod, "enumerate_mns", refuse)
         code, out, err = run_cli(
             ["generate", "polygon", "--pairs", "10"], monkeypatch=monkeypatch, capsys=capsys
         )
-        assert code == 2
-        assert out == ""
-        assert err == (
-            "error: polygon of 20 vectors is beyond the scan guard 18; "
-            "raise PSSKIT_MAX_SIZE to override\n"
-        )
+        assert code == 0
+        assert len(parse_vecset(out)) == 20
+        assert err == "generate polygon: 20 vectors in R^2\n"
 
-    def test_polygon_guard_follows_env_var(self, monkeypatch, capsys):
+    def test_polygon_ignores_max_size_env_var(self, monkeypatch, capsys):
+        # the size guard limits input commands only, not generators
         monkeypatch.setenv("PSSKIT_MAX_SIZE", "5")
-        code, _, err = run_cli(
+        code, out, _ = run_cli(
             ["generate", "polygon", "--pairs", "3"], monkeypatch=monkeypatch, capsys=capsys
         )
-        assert code == 2
-        assert "scan guard 5" in err
+        assert code == 0
+        assert len(parse_vecset(out)) == 6
 
     def test_polygon_within_guard_is_unchanged(self, monkeypatch, capsys):
         import hashlib

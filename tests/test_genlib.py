@@ -128,7 +128,7 @@ class TestPolygon:
 
         assert is_cross(polygon_example(2))
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_frame_signature(self, n):
         X = polygon_example(n)
         frames = enumerate_mns(X)

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from psskit import QMat, QVec, kernel_basis, rank, solve_nonneg, strict_separator
 from psskit.errors import DimensionMismatchError, ZeroVectorError
-from psskit.ratlin import _echelon, solve_linear
+from psskit.ratlin import _echelon, _phase_one, solve_linear
 
 from conftest import (
     brute_force_nonneg_zero_combo,
+    oracle_phase_one,
     oracle_rank,
     oracle_rref,
     small_rats,
@@ -190,6 +191,11 @@ class TestSolveNonneg:
         with pytest.raises(DimensionMismatchError):
             solve_nonneg(cols(QVec([1, 0])), QVec([1, 0, 0]))
 
+    def test_zero_rows_answer_zero_coefficients(self):
+        res = solve_nonneg(QMat(0, 3, []), QVec([]))
+        assert res.kind == "coefficients"
+        assert res.coeffs == {0: F(0), 1: F(0), 2: F(0)}
+
     @settings(max_examples=40, deadline=None)
     @given(vecsets(max_dim=3, max_size=5), st.data())
     def test_witness_reconstructs(self, X, data):
@@ -240,6 +246,27 @@ class TestSolveNonneg:
         support = [j for j, c in res.coeffs.items() if c != 0]
         assert all(res.coeffs[j] > 0 for j in support)
         assert oracle_rank([columns[j] for j in support]) == len(support)
+
+
+class TestPhaseOneOracle:
+    """The real-column tableau against the one with an artificial block."""
+
+    def test_same_answer_as_the_artificial_block(self):
+        # 3-4 rows over 2-4 columns with entries -2..2 give many degenerate
+        # bases, so the oracle re-enters an artificial on both sides: with
+        # a positive objective (infeasible) and with a zero one (feasible)
+        rng = random.Random(20261018)
+        reentries = {True: 0, False: 0}
+        for _ in range(4000):
+            m, n = rng.randint(3, 4), rng.randint(2, 4)
+            rows = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
+            rhs = [F(rng.randint(-2, 2)) for _ in range(m)]
+            x, reentered = oracle_phase_one([list(c) for c in zip(*rows)], rhs)
+            assert _phase_one(rows, rhs, n) == x, (rows, rhs)
+            if reentered:
+                reentries[x is not None] += 1
+        assert reentries[True] >= 3
+        assert reentries[False] >= 3
 
 
 class TestStrictSeparator:
