@@ -93,7 +93,7 @@ def parse_vecset(text: str) -> VecSet:
     if not isinstance(data, dict) or "dim" not in data or "vectors" not in data:
         raise CliInputError('input must be {"dim": d, "vectors": [[...], ...]}')
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # bool is an int subclass
         raise CliInputError(f"dim must be a positive integer, got {dim!r}")
     rows = data["vectors"]
     if not isinstance(rows, list):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, PropertyViolation
-from .ratlin import QVec, column_rank, kernel_basis
+from .ratlin import QVec, column_rank, kernel_basis, _integer_row, _reduce
 from .simplicial import Simplex, enumerate_simplices
 from .spanset import VecSet, is_pss
 
@@ -72,16 +72,12 @@ def simplex_dependency(X: VecSet, s: Simplex) -> Dependency:
 
 def _first_independent(X: VecSet, row, what: str) -> list[Dependency]:
     """The first linearly independent ``row(s)`` over the simplices s of X,
-    in canonical order: a basis of the dependency space, re-checked."""
-    target = len(X) - X.rank()
-    chosen: list[list[Fraction]] = []
-    for s in enumerate_simplices(X):
-        if len(chosen) == target:
-            break
-        v = row(s)
-        if column_rank(chosen + [v]) > len(chosen):
-            chosen.append(v)
-    if len(chosen) != target:
+    in canonical order: the pivots of one reduction, a basis of the
+    dependency space, re-checked."""
+    rows = [row(s) for s in enumerate_simplices(X)]
+    reduced = _reduce([_integer_row(v) for v in rows], len(X))
+    chosen = [v for v, r in zip(rows, reduced) if r is None]
+    if len(chosen) != len(X) - X.rank():
         raise PropertyViolation(f"{what} failed to span")
     for v in chosen:
         _check_dependency(X, v)

@@ -12,7 +12,7 @@ multiplication.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DimensionMismatchError, ZeroVectorError
 
@@ -175,7 +175,7 @@ class FeasWitness:
 
 
 # ----------------------------------------------------------------------
-# Gaussian elimination
+# Integer elimination
 
 
 def _integer_row(row) -> list[int]:
@@ -184,48 +184,65 @@ def _integer_row(row) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in row]
 
 
-def _echelon(rows) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination: ``(T, pivot columns, d)``.
+def _primitive(v) -> list[int]:
+    """The positive multiple of v with coprime integer entries."""
+    w = _integer_row(v)
+    g = gcd(*w)
+    return [a // g for a in w]
 
-    Each row is first multiplied by the lcm of its denominators, which keeps
-    the row space and so the reduced row echelon form.  Bareiss pivoting
-    then divides every update exactly by the previous pivot, which keeps
-    every entry an integer minor of the scaled matrix.  Every pivot entry
-    ends equal to d, and the reduced row echelon form is ``T / d``.
+
+def _eliminate(v: list[int], row: list[int], pc: int) -> list[int]:
+    """Clear entry ``pc`` of v with ``row`` (nonzero there), gcd divided out."""
+    f = v[pc]
+    if not f:
+        return v
+    p = row[pc]
+    w = [p * a - f * b for a, b in zip(v, row)]
+    g = gcd(*w)
+    return [a // g for a in w] if g > 1 else w
+
+
+def _reduce(rows, width: int) -> list[list[int] | None]:
+    """Reduce each integer row, in order, against the pivot rows before it.
+
+    A row left with a nonzero entry among its first ``width`` becomes a
+    pivot and gives None; any other row gives its reduced form.  A reduced
+    row is the primitive part of the Bareiss row (Bareiss, Math. Comp. 22,
+    1968), so its entries stay within the same integer minors.
     """
-    T = [_integer_row(row) for row in rows]
-    m = len(T)
-    n = len(T[0]) if m else 0
-    pivots: list[int] = []
-    d = 1
-    for c in range(n):
-        pr = len(pivots)
-        if pr == m:
-            break
-        hit = next((i for i in range(pr, m) if T[i][c]), None)
-        if hit is None:
-            continue
-        T[pr], T[hit] = T[hit], T[pr]
-        prow = T[pr]
-        p = prow[c]
-        for i in range(m):
-            if i != pr:
-                f = T[i][c]
-                T[i] = [(p * a - f * b) // d for a, b in zip(T[i], prow)]
-        d = p
-        pivots.append(c)
-    return T, pivots, d
+    pivots: list[tuple[list[int], int]] = []
+    out: list[list[int] | None] = []
+    for v in rows:
+        for row, pc in pivots:
+            v = _eliminate(v, row, pc)
+        pc = next((c for c in range(width) if v[c]), None)
+        if pc is None:
+            out.append(v)
+        else:
+            pivots.append((v, pc))
+            out.append(None)
+    return out
+
+
+def _with_combinations(vectors) -> list[list[int]]:
+    """Each vector's integer row followed by its row of the identity.  As
+    reduction keeps a row's head the combination of the vectors given by
+    its tail, a zero head leaves a dependency in the tail."""
+    n = len(vectors)
+    eye = [[0] * k + [1] + [0] * (n - 1 - k) for k in range(n)]
+    return [_primitive([*v, *e]) for v, e in zip(vectors, eye)]
 
 
 def rank(M: QMat) -> int:
     """Exact rank over the rationals."""
-    return len(_echelon(M.row_lists())[1])
+    return _reduce([_integer_row(r) for r in M.row_lists()], M.cols).count(None)
 
 
 def column_rank(columns) -> int:
     """Rank of a list of equal-length column vectors (no QMat required)."""
-    # the rank of the transpose: each column is eliminated as a row
-    return len(_echelon([list(c) for c in columns])[1])
+    # the rank of the transpose: each column is reduced as a row
+    rows = [_integer_row(c) for c in columns]
+    return _reduce(rows, len(rows[0]) if rows else 0).count(None)
 
 
 def kernel_basis(M: QMat) -> list[QVec]:
@@ -235,36 +252,26 @@ def kernel_basis(M: QMat) -> list[QVec]:
     and the vectors are ordered by their free column, so the output is a
     canonical function of the input.
     """
-    T, pivots, d = _echelon(M.row_lists())
-    free = [j for j in range(M.cols) if j not in pivots]
     out = []
-    for f in free:
-        v = [0] * M.cols  # d times the kernel vector with v[f] = 1
-        v[f] = d
-        for ri, pc in enumerate(pivots):
-            v[pc] = -T[ri][f]
-        first = next(x for x in v if x != 0)
-        out.append(QVec(Fraction(x, first) for x in v))
+    for v in _reduce(_with_combinations(M.column_lists()), M.rows):
+        if v is not None:  # a free column: the tail is its dependency
+            tail = v[M.rows :]
+            first = next(x for x in tail if x)
+            out.append(QVec(Fraction(x, first) for x in tail))
     return out
 
 
 def solve_linear(columns, rhs) -> list[Fraction] | None:
     """One exact solution of ``sum_j x_j columns[j] = rhs`` or None.
 
-    Free variables are set to zero, so the answer is deterministic.
+    Free variables are set to zero, so the answer is deterministic: the
+    reduced right-hand side's tail c gives x_j = -c_j / c_rhs.
     """
-    columns = [list(c) for c in columns]
     rhs = list(rhs)
-    m = len(rhs)
-    n = len(columns)
-    rows = [[columns[j][i] for j in range(n)] + [rhs[i]] for i in range(m)]
-    T, pivots, d = _echelon(rows)
-    if n in pivots:  # pivot in the augmented column: inconsistent
+    v = _reduce(_with_combinations([*columns, rhs]), len(rhs))[-1]
+    if v is None:  # a pivot: rhs lies outside the span of the columns
         return None
-    x = [_ZERO] * n
-    for ri, pc in enumerate(pivots):
-        x[pc] = Fraction(T[ri][n], d)
-    return x
+    return [Fraction(-c, v[-1]) for c in v[len(rhs) : -1]]
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from itertools import combinations
 
 from .errors import PreconditionError, PropertyViolation
 from .ratlin import QVec, column_rank, kernel_basis, solve_linear, solve_nonneg
+from .ratlin import _with_combinations
 from .spanset import (
     VecSet,
     _independent_walk,
@@ -89,45 +90,43 @@ class SwapReport:
     neg_outside_skeleton: bool
 
 
-def _simplex_on(X: VecSet, sub: tuple[int, ...]) -> Simplex | None:
-    """The simplex on the members ``sub`` of X, or None.
+def is_simplex(S: VecSet) -> Simplex | None:
+    """The simplex structure of S as a whole, or None.
 
-    ``sub`` is a simplex exactly when its kernel is one-dimensional with a
+    S is a simplex exactly when its kernel is one-dimensional with a
     representative that is nonzero and of one sign in every coordinate;
     this is equivalent to minimality of the positive zero-combination.
     ``kernel_basis`` scales the first entry to 1, so a simplex is a
     one-vector kernel whose entries are all positive: its dependency.
     """
-    kern = kernel_basis(X.matrix(sub))
+    kern = kernel_basis(S.matrix())
     if len(kern) != 1 or any(c <= 0 for c in kern[0]):
         return None
-    return Simplex(sub, dict(zip(sub, kern[0])))
-
-
-def is_simplex(S: VecSet) -> Simplex | None:
-    """The simplex structure of S as a whole, or None."""
-    return _simplex_on(S, tuple(S.indices()))
+    return Simplex(tuple(S.indices()), dict(zip(S.indices(), kern[0])))
 
 
 @_memoized
 def enumerate_simplices(X: VecSet) -> SimplexSet:
     """All simplex subsets of X, in canonical member order.
 
-    A simplex C minus its largest member j is independent, and j lies in
-    its span but, the dependency having full support, not in the span of
-    the members before the last.  So the walk over independent sets meets
-    each C once, as j with the residual its last member cleared, and the
-    kernel test decides it.
+    A simplex C minus its largest member j is independent and spans j, so
+    the walk over independent sets meets C once, with j's head reduced to
+    zero.  The tail then holds C's one dependency up to scale, and C is a
+    simplex exactly when every member's coefficient is nonzero with j's
+    sign.  A larger independent set gives its extra member coefficient 0.
     """
-    found: list[Simplex | None] = []
+    d = X.dim
+    found: list[Simplex] = []
 
-    def visit(members, residuals, parent):
+    def visit(members, residuals):
         for j in range(members[-1] + 1, len(X)) if members else ():
-            if any(parent[j]) and not any(residuals[j]):
-                found.append(_simplex_on(X, members + (j,)))
+            head, tail = residuals[j][:d], residuals[j][d:]
+            if not any(head) and all(tail[i] * tail[j] > 0 for i in members):
+                C = members + (j,)
+                found.append(Simplex(C, {i: Fraction(tail[i], tail[C[0]]) for i in C}))
 
-    _independent_walk(X, X.rank(), visit)
-    return sorted((s for s in found if s is not None), key=lambda s: s.members)
+    _independent_walk(X, _with_combinations(X), X.rank(), visit)
+    return sorted(found, key=lambda s: s.members)
 
 
 def positively_spanning_subsets(X: VecSet) -> list[tuple[int, ...]]:

@@ -14,7 +14,6 @@ set alone, it is computed once per :class:`VecSet` and kept in its memo.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from math import gcd
 
 from .errors import (
     DimensionMismatchError,
@@ -30,7 +29,8 @@ from .ratlin import (
     solve_linear,
     solve_nonneg,
     strict_separator,
-    _integer_row,
+    _eliminate,
+    _primitive,
 )
 
 
@@ -235,47 +235,27 @@ def caratheodory_reduce(x: QVec, X: VecSet) -> SpanPoint:
 # skeleton and core
 
 
-def _primitive(v: QVec) -> list[int]:
-    """The positive multiple of v with coprime integer entries."""
-    w = _integer_row(v)
-    g = gcd(*w)
-    return [a // g for a in w]
+def _independent_walk(X: VecSet, rows, size: int, visit) -> None:
+    """Call ``visit(members, residuals)`` on each independent subset of X
+    of at most ``size`` elements, depth first in lexicographic order.
 
-
-def _eliminate(v: list[int], row: list[int], pc: int) -> list[int]:
-    """Clear entry ``pc`` of v with ``row`` (nonzero there), gcd divided out."""
-    f = v[pc]
-    if not f:
-        return v
-    p = row[pc]
-    w = [p * a - f * b for a, b in zip(v, row)]
-    g = gcd(*w)
-    return [a // g for a in w] if g > 1 else w
-
-
-def _independent_walk(X: VecSet, size: int, visit) -> None:
-    """Call ``visit(members, residuals, parent)`` on each independent subset
-    of X of at most ``size`` elements, depth first in lexicographic order.
-
-    The residuals are the vectors reduced against an integer echelon form
-    of ``members``: a nonzero one extends the set, a zero one lies in its
-    span.  ``parent`` holds them before the last member (None at the root).
+    ``rows`` holds one integer row per vector, its first ``X.dim`` entries
+    the vector; the residuals are these rows reduced against an echelon
+    form of ``members``.  A residual with a nonzero head extends the set,
+    a zero one lies in its span.
     """
 
-    def walk(members: tuple[int, ...], residuals, parent):
-        visit(members, residuals, parent)
+    def walk(members: tuple[int, ...], residuals):
+        visit(members, residuals)
         if len(members) == size:
             return
         for j in range(members[-1] + 1 if members else 0, len(X)):
             row = residuals[j]
-            if any(row):
-                for pc, a in enumerate(row):  # the first nonzero entry
-                    if a:
-                        break
-                reduced = [_eliminate(v, row, pc) for v in residuals]
-                walk(members + (j,), reduced, residuals)
+            pc = next((c for c in range(X.dim) if row[c]), None)
+            if pc is not None:
+                walk(members + (j,), [_eliminate(v, row, pc) for v in residuals])
 
-    walk((), [_primitive(v) for v in X], None)
+    walk((), rows)
 
 
 def _hyperplane_flats(X: VecSet) -> list[tuple[int, ...]]:
@@ -289,11 +269,11 @@ def _hyperplane_flats(X: VecSet) -> list[tuple[int, ...]]:
     r = X.rank()
     closures: set[tuple[int, ...]] = set()
 
-    def visit(members, residuals, _parent):
+    def visit(members, residuals):
         if len(members) == r - 1:
             closures.add(tuple(j for j, v in enumerate(residuals) if not any(v)))
 
-    _independent_walk(X, r - 1, visit)
+    _independent_walk(X, [_primitive(v) for v in X], r - 1, visit)
     return sorted(closures, key=lambda t: (len(t), t))
 
 

@@ -146,10 +146,11 @@ class TestExitCodes:
             ([["1"], ["-1"]], 'input must be {"dim": d, "vectors": [[...], ...]}'),
             ({"dim": 0, "vectors": []}, "dim must be a positive integer, got 0"),
             ({"dim": "2", "vectors": []}, "dim must be a positive integer, got '2'"),
+            ({"dim": True, "vectors": [["1"], ["-1"]]}, "dim must be a positive integer, got True"),
             ({"dim": 2, "vectors": "1,0"}, "vectors must be a list"),
             ({"dim": 2, "vectors": [["1", "0"], ["1"]]}, "vector 1: expected 2 entries"),
         ],
-        ids=["boolean", "null", "top-level-list", "dim-zero", "dim-string", "vectors-not-list", "short-row"],
+        ids=["boolean", "null", "top-level-list", "dim-zero", "dim-string", "dim-boolean", "vectors-not-list", "short-row"],
     )
     def test_malformed_input_is_input_error(self, payload, message, monkeypatch, capsys):
         code, out, err = run_cli(["analyze"], json.dumps(payload), monkeypatch, capsys)

@@ -16,7 +16,7 @@ from psskit import (
     reay_partition,
     sxy_classify,
 )
-from psskit import simplicial
+from psskit import simplicial, spanset
 from psskit.errors import PreconditionError
 from psskit.genlib import (
     AntichainSpec,
@@ -154,27 +154,31 @@ class TestSimplexWalkOracle:
         assert 0 in simplex_counts and max(simplex_counts) >= 5
 
     @pytest.mark.parametrize(
-        "build, simplices, gate",
+        "build, simplices, eliminations",
         [
             # the subset scan asked 3,289 and 492 kernels
-            (lambda: make_cross(6), 6, 364),
-            # 79 when every vector of the span is a candidate, not only
-            # those whose residual the last member cleared
-            (lambda: random_positive_basis(6, 3, 1), 3, 22),
+            (lambda: make_cross(6), 6, 8736),
+            (lambda: random_positive_basis(6, 3, 1), 3, 3672),
         ],
         ids=["cross6", "rpb631"],
     )
-    def test_kernel_call_gate(self, build, simplices, gate, monkeypatch):
+    def test_simplices_need_no_kernel(self, build, simplices, eliminations, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerate_simplices ran a kernel or a solve")
+
         calls = []
-        original = simplicial.kernel_basis
+        original = spanset._eliminate
 
-        def counted(M):
+        def counted(*args):
             calls.append(1)
-            return original(M)
+            return original(*args)
 
-        monkeypatch.setattr(simplicial, "kernel_basis", counted)
+        monkeypatch.setattr(simplicial, "kernel_basis", refuse)
+        monkeypatch.setattr(simplicial, "solve_linear", refuse)
+        monkeypatch.setattr(spanset, "_eliminate", counted)
         assert len(enumerate_simplices(build())) == simplices
-        assert len(calls) <= gate
+        # each extension of an independent set reduces every residual once
+        assert len(calls) == eliminations
 
 
 class TestFactorization:

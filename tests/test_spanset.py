@@ -1,6 +1,7 @@
 import pickle
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,7 +27,7 @@ from psskit.errors import (
     PreconditionError,
     ZeroVectorError,
 )
-from psskit.ratlin import FeasWitness, strict_separator
+from psskit.ratlin import FeasWitness, _primitive, _with_combinations, strict_separator
 from psskit.conical import enumerate_mns
 from psskit.simplicial import enumerate_simplices
 from psskit import spanset
@@ -37,6 +38,7 @@ from conftest import (
     brute_force_membership,
     count_lp_calls,
     invertible_maps,
+    oracle_column_rank,
     oracle_extract_positive_basis,
     oracle_is_pss,
     oracle_proper_flats,
@@ -318,6 +320,22 @@ class TestProperFlatsOracle:
     def test_echelon_walk_matches_rank_walk(self, X):
         # the walk keeps the hyperplane flats: the inclusion-maximal ones
         assert spanset._hyperplane_flats(X) == _maximal(oracle_proper_flats(X))
+
+    @pytest.mark.parametrize("rows", ["plain", "with combinations"])
+    def test_walk_visits_exactly_the_independent_sets(self, rows):
+        # the identity block must not be searched for pivots
+        for X in (example_x9(), make_cross(3), random_positive_basis(4, 2, 0)):
+            plain = [_primitive(v) for v in X]
+            start = plain if rows == "plain" else _with_combinations(X)
+            seen = []
+            spanset._independent_walk(X, start, X.rank(), lambda m, _: seen.append(m))
+            want = [
+                c
+                for k in range(X.rank() + 1)
+                for c in combinations(X.indices(), k)
+                if oracle_column_rank(X.columns(c)) == k
+            ]
+            assert seen == sorted(want)  # depth first, lexicographic
 
     def test_ranks_below_dimension_are_covered(self):
         assert {X.dim - X.rank() for X in _seeded_sets()} >= {0, 1, 2, 3, 4}
