@@ -130,34 +130,17 @@ def enumerate_mns(X: VecSet) -> list[ConeFrame]:
     return frames
 
 
-def _antiparallel(x: QVec, y: QVec) -> bool:
-    """Whether y is a negative positive-multiple of x."""
-    k = next(i for i, c in enumerate(x) if c != 0)
-    if y[k] == 0:
-        return False
-    alpha = -(y[k] / x[k])
-    if alpha <= 0:
-        return False
-    return y == x.scale(-alpha)
-
-
 def is_cross(X: VecSet) -> bool:
-    """Whether X is a union of opposite-pair simplices over a linear basis."""
-    r = X.rank()
-    if len(X) != 2 * r:
+    """Whether X is a union of opposite-pair simplices over a linear basis.
+
+    That is |X| = 2 rank(X) with the 2-member simplices covering X: a
+    vector with two opposite partners would leave fewer than rank(X)
+    lines through the origin to span X.
+    """
+    if len(X) != 2 * X.rank():
         return False
-    unpaired = set(X.indices())
-    reps = []
-    while unpaired:
-        i = min(unpaired)
-        partner = next(
-            (j for j in unpaired if j != i and _antiparallel(X[i], X[j])), None
-        )
-        if partner is None:
-            return False
-        unpaired -= {i, partner}
-        reps.append(i)
-    return column_rank(X.columns(reps)) == r
+    pairs = [s.members for s in enumerate_simplices(X) if len(s.members) == 2]
+    return {i for p in pairs for i in p} == set(X.indices())
 
 
 def verify_main_bounds(X: VecSet) -> MainBoundsReport:

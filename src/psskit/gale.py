@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import PreconditionError, PropertyViolation
 from .ratlin import QVec, column_rank, kernel_basis, _integer_row, _reduce
 from .simplicial import Simplex, enumerate_simplices
-from .spanset import VecSet, is_pss
+from .spanset import VecSet, _mask, is_pss
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -171,8 +171,7 @@ def verify_gale_theorem(X: VecSet) -> GaleReport:
     diagram = gale_diagram(X, basis)
     simplices = enumerate_simplices(X)
     membership = [
-        frozenset(k for k, s in enumerate(simplices) if i in s.dependency)
-        for i in X.indices()
+        _mask(k for k, s in enumerate(simplices) if i in s) for i in X.indices()
     ]
     violations = []
     for i in X.indices():

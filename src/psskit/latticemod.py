@@ -5,13 +5,20 @@ positively span linear subspaces are exactly the unions of simplex
 subsets.  Ordered by inclusion they form a boolean lattice; mapping each
 member Y to its simplex set embeds the lattice into the powerset of the
 simplices of X, bijectively when X is a positive basis.
+
+The members come from the set's memoized union closure, which the
+factorization scan shares.  Inside, a subset is an int mask with one bit
+per vector: meet, join and complement OR the masks of the simplices an
+element holds, or does not hold.  Elements show sorted index tuples.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import PreconditionError
 from .simplicial import Simplex, enumerate_simplices, positively_spanning_subsets
-from .spanset import VecSet, is_pss
+from .spanset import VecSet, _mask, _members, is_pss
 
 
 @dataclass(frozen=True)
@@ -33,7 +40,8 @@ class SpanLattice:
         self.base = base
         self.all_simplices = simplices
         self.elements: list[LatticeElement] = elements
-        self._by_subset = {e.subset: e for e in elements}
+        self._masks = [_mask(s.members) for s in simplices]
+        self._by_mask = {_mask(e.subset): e for e in elements}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -43,48 +51,41 @@ class SpanLattice:
 
     def element(self, subset) -> LatticeElement:
         key = tuple(sorted(subset))
-        if key not in self._by_subset:
+        found = self._by_mask.get(_mask(key)) if min(key, default=0) >= 0 else None
+        if found is None or found.subset != key:  # a repeat ORs into one bit
             raise PreconditionError("subset is not a lattice element")
-        return self._by_subset[key]
+        return found
 
-    def _require(self, a: LatticeElement) -> LatticeElement:
-        mine = self._by_subset.get(a.subset)
-        if mine is None or mine.simplices != a.simplices:
-            raise PreconditionError("element does not belong to this lattice")
-        return mine
-
-    def _from_simplex_ids(self, ids) -> LatticeElement:
-        members: set[int] = set()
-        for j in ids:
-            members.update(self.all_simplices[j].members)
-        return self._by_subset[tuple(sorted(members))]
+    def _require(self, *elements: LatticeElement) -> None:
+        for a in elements:
+            if self._by_mask.get(_mask(a.subset)) != a:
+                raise PreconditionError("element does not belong to this lattice")
 
     def meet(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:
         """Union of the simplices contained in the intersection."""
-        a, b = self._require(a), self._require(b)
+        self._require(a, b)
         # a simplex lies in the intersection iff it lies in both elements
-        ids = [j for j in a.simplices if j in b.simplices]
-        return self._from_simplex_ids(ids)
+        held = (self._masks[j] for j in a.simplices if j in b.simplices)
+        return self._by_mask[reduce(or_, held, 0)]
 
     def join(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:
         """Plain union; always a lattice member."""
-        a, b = self._require(a), self._require(b)
-        key = tuple(sorted(set(a.subset) | set(b.subset)))
-        return self._by_subset[key]
+        self._require(a, b)
+        return self._by_mask[_mask(a.subset + b.subset)]
 
     def complement(self, a: LatticeElement) -> LatticeElement:
         """Union of all simplices not contained in the element."""
-        a = self._require(a)
-        ids = [j for j in range(len(self.all_simplices)) if j not in a.simplices]
-        return self._from_simplex_ids(ids)
+        self._require(a)
+        rest = (m for j, m in enumerate(self._masks) if j not in a.simplices)
+        return self._by_mask[reduce(or_, rest, 0)]
 
     @property
     def bottom(self) -> LatticeElement:
-        return self._by_subset[()]
+        return self._by_mask[0]
 
     @property
     def top(self) -> LatticeElement:
-        return self._by_subset[tuple(self.base.indices())]
+        return self._by_mask[(1 << len(self.base)) - 1]
 
 
 def build_lattice(X: VecSet) -> SpanLattice:
@@ -98,11 +99,9 @@ def build_lattice(X: VecSet) -> SpanLattice:
     if not is_pss(X):
         raise PreconditionError("set does not positively span its hull")
     simplices = enumerate_simplices(X)
-    elements = []
-    for subset in positively_spanning_subsets(X):
-        members = set(subset)
-        ids = tuple(
-            j for j, s in enumerate(simplices) if members.issuperset(s.members)
-        )
-        elements.append(LatticeElement(subset, ids))
+    masks = [_mask(s.members) for s in simplices]
+    elements = [
+        LatticeElement(_members(m), tuple(j for j, s in enumerate(masks) if s & ~m == 0))
+        for m in positively_spanning_subsets(X)
+    ]
     return SpanLattice(X, simplices, elements)

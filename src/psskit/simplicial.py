@@ -19,6 +19,8 @@ from .ratlin import _with_combinations
 from .spanset import (
     VecSet,
     _independent_walk,
+    _mask,
+    _members,
     _memoized,
     in_rint_positive_span,
     is_positive_basis,
@@ -129,18 +131,20 @@ def enumerate_simplices(X: VecSet) -> SimplexSet:
     return sorted(found, key=lambda s: s.members)
 
 
-def positively_spanning_subsets(X: VecSet) -> list[tuple[int, ...]]:
-    """All subsets of X that positively span a linear subspace.
+@_memoized
+def positively_spanning_subsets(X: VecSet) -> list[int]:
+    """All subsets of X that positively span a linear subspace, as masks.
 
     These are exactly the unions of simplex subsets (the empty union gives
     the empty set spanning the null space), collected as the union closure
-    of the simplices: O(simplices * subsets found) set unions.
+    of the simplex masks: O(simplices * subsets found) ORs.  Ordered by
+    size, then by member tuple.
     """
-    unions = {frozenset()}
+    unions = {0}
     for s in enumerate_simplices(X):
-        members = s.member_set()
-        unions |= {u | members for u in unions}
-    return sorted((tuple(sorted(u)) for u in unions), key=lambda t: (len(t), t))
+        m = _mask(s.members)
+        unions.update([u | m for u in unions])
+    return sorted(unions, key=lambda u: (u.bit_count(), _members(u)))
 
 
 def factorization_condition(
@@ -159,32 +163,28 @@ def factorization_condition(
     identity fails, to report its first witness in scan order.
     """
     simplices = enumerate_simplices(X)
+    masks = [_mask(s.members) for s in simplices]
     n = len(X)
-    rank_memo: dict[tuple[int, ...], int] = {}
+    rank_memo: dict[int, int] = {}
 
-    def r(indices: frozenset) -> int:
-        key = tuple(sorted(indices))
-        if key not in rank_memo:
-            rank_memo[key] = column_rank(X.columns(key))
-        return rank_memo[key]
+    def r(mask: int) -> int:
+        if mask not in rank_memo:
+            rank_memo[mask] = column_rank(X.columns(_members(mask)))
+        return rank_memo[mask]
 
-    everything = frozenset(range(n))
+    everything = (1 << n) - 1
     if not spanning_only and all(
-        r(everything - s.member_set()) + r(s.member_set()) == r(everything)
-        for s in simplices
+        r(everything ^ S) + r(S) == r(everything) for S in masks
     ):
         return FactorizationReport(True)
     if spanning_only:
-        subsets = [frozenset(t) for t in positively_spanning_subsets(X)]
+        subsets = positively_spanning_subsets(X)
     else:
-        subsets = [
-            frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)
-        ]
+        subsets = (_mask(c) for k in range(n + 1) for c in combinations(range(n), k))
     for Y in subsets:
-        for s in simplices:
-            S = frozenset(s.members)
+        for s, S in zip(simplices, masks):
             if r(Y & S) + r(Y | S) != r(Y) + r(S):
-                return FactorizationReport(False, tuple(sorted(Y)), s)
+                return FactorizationReport(False, _members(Y), s)
     return FactorizationReport(True)
 
 

@@ -7,8 +7,9 @@ and core of the positive span, and perform support reduction of positive
 combinations down to at most ``rank`` many vectors.
 
 All functions are pure; every witness they return reconstructs exactly.
-As a structure of a set (rank, verdicts, simplices, frames) depends on the
-set alone, it is computed once per :class:`VecSet` and kept in its memo.
+As a structure of a set (rank, verdicts, simplices, frames, the union
+closure of the simplices) depends on the set alone, it is computed once
+per :class:`VecSet` and kept in its memo.
 """
 
 from dataclasses import dataclass
@@ -115,6 +116,20 @@ def _memoized(fn):
         return list(result) if isinstance(result, list) else result
 
     return once
+
+
+def _mask(indices) -> int:
+    """A subset as an int with bit i set for each index i; a repeat ORs
+    the same bit again, so it cannot carry into another index."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The indices of the bits set in ``mask``, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 @_memoized

@@ -7,6 +7,8 @@ fails.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .conical import (
     cone_decomposition,
@@ -28,6 +30,8 @@ from .simplicial import (
 )
 from .spanset import (
     VecSet,
+    _mask,
+    _members,
     caratheodory_reduce,
     in_rint_positive_span,
     is_positive_basis,
@@ -104,12 +108,9 @@ def _check_main_bounds(X: VecSet) -> tuple[bool, str]:
 
 def _check_lattice(X: VecSet) -> tuple[bool, str]:
     lattice = build_lattice(X)
+    masks = [_mask(s.members) for s in lattice.all_simplices]
     for a in lattice:
-        if a.subset != tuple(
-            sorted(set().union(*[lattice.all_simplices[j].members for j in a.simplices]))
-            if a.simplices
-            else ()
-        ):
+        if _mask(a.subset) != reduce(or_, (masks[j] for j in a.simplices), 0):
             return False, f"element {a.subset} is not the union of its simplices"
     basis = is_positive_basis(X)
     expected = 1 << len(lattice.all_simplices)
@@ -117,11 +118,10 @@ def _check_lattice(X: VecSet) -> tuple[bool, str]:
         return False, f"positive basis lattice has {len(lattice)} != {expected}"
     for a in lattice:
         for b in lattice:
-            m = lattice.meet(a, b)
-            j = lattice.join(a, b)
-            if not (set(m.subset) <= set(a.subset) & set(b.subset)):
+            A, B = _mask(a.subset), _mask(b.subset)
+            if _mask(lattice.meet(a, b).subset) & ~(A & B):
                 return False, "meet escapes the intersection"
-            if set(j.subset) != set(a.subset) | set(b.subset):
+            if _mask(lattice.join(a, b).subset) != A | B:
                 return False, "join is not the union"
     if basis:
         for a in lattice:
@@ -181,33 +181,27 @@ def _check_maxind(X: VecSet) -> tuple[bool, str]:
     # pairwise disjoint (a missing member completes only that simplex).
     # With overlapping simplices a frame may miss two members, as on
     # random_positive_basis(6, 3, 15) and on every frame of x9.
-    simplices = [s.member_set() for s in enumerate_simplices(X)]
-    frames = enumerate_mns(X)
-    for frame in frames:
-        fs = frame.member_set()
-        held = next((s for s in simplices if s <= fs), None)
+    simplices = [_mask(s.members) for s in enumerate_simplices(X)]
+    frames = [(f.members, _mask(f.members)) for f in enumerate_mns(X)]
+    for members, fs in frames:
+        held = next((s for s in simplices if not s & ~fs), None)
         if held is not None:
-            return False, f"frame {frame.members} holds simplex {tuple(sorted(held))}"
+            return False, f"frame {members} holds simplex {_members(held)}"
         for j in X.indices():
-            if j not in fs and not any(j in s and s <= fs | {j} for s in simplices):
-                return False, f"frame {frame.members} stays pointed with {j}"
+            if not fs >> j & 1 and not any(s & ~fs == 1 << j for s in simplices):
+                return False, f"frame {members} stays pointed with {j}"
 
-    def missed_twice(fs: frozenset) -> tuple[int, ...] | None:
-        return next((tuple(sorted(s)) for s in simplices if len(s - fs) > 1), None)
+    def missed_twice(fs: int) -> tuple[int, ...] | None:
+        return next((_members(s) for s in simplices if (s & ~fs).bit_count() > 1), None)
 
     if X.rank() == X.dim and not positively_dependent(X).verdict:
-        B = frozenset(basis_decomposition(X).basis)
-        if not any(
-            B <= f.member_set() and missed_twice(f.member_set()) is None
-            for f in frames
-        ):
-            return False, f"every frame through the basis {tuple(sorted(B))} misses two"
-    missed = [
-        (f.members, s) for f in frames if (s := missed_twice(f.member_set()))
-    ]
+        B = _mask(basis_decomposition(X).basis)
+        if not any(not B & ~fs and missed_twice(fs) is None for _, fs in frames):
+            return False, f"every frame through the basis {_members(B)} misses two"
+    missed = [(members, s) for members, fs in frames if (s := missed_twice(fs))]
     if not missed:
         return True, "frames meet every simplex in all but one element"
-    if sum(map(len, simplices)) == len(frozenset().union(*simplices)):
+    if sum(s.bit_count() for s in simplices) == reduce(or_, simplices, 0).bit_count():
         members, s = missed[0]
         return False, f"frame {members} misses two of {s}"
     return True, (

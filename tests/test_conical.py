@@ -356,3 +356,6 @@ class TestIsCross:
         assert not is_cross(make_simplex(2))
         assert not is_cross(polygon_example(3))
         assert not is_cross(VecSet(1, [[1], [-1], [2], [-2]]))
+        # three 2-simplices and |X| = 2 rank, but e3 has no partner
+        e3_unpaired = [[1, 0, 0], [-1, 0, 0], [-2, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]]
+        assert not is_cross(VecSet(3, e3_unpaired))

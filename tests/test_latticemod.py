@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from psskit import (
     is_pss,
 )
 from psskit.errors import PreconditionError
+from psskit.simplicial import positively_spanning_subsets
 from psskit.genlib import (
     make_cross,
     make_simplex,
@@ -64,6 +66,15 @@ class TestOperations:
 
     def test_complement(self):
         assert self.lat.complement(self.s1) == self.s2
+
+    @pytest.mark.parametrize(
+        "subset",
+        [(0,), (0, 0, 1), (-1,), (-1, 0, 1), (0, 1, 4)],
+        ids=["non-member", "repeated", "negative", "negative-in-member", "out-of-range"],
+    )
+    def test_element_rejects_what_is_not_a_member(self, subset):
+        with pytest.raises(PreconditionError):
+            self.lat.element(subset)
 
     def test_mixed_lattices_rejected(self):
         other = build_lattice(make_cross(2))
@@ -140,3 +151,17 @@ class TestOracle:
         subsets = {e.subset for e in build_lattice(X)}
         assert subsets == self.brute_spanning_subsets(X)
         assert len(subsets) == size
+
+
+def test_closure_size_on_random_18_in_the_plane():
+    # 222 simplices inside the 18-vector guard: the closure must stay
+    # linear in its output.  Gated on the count, never on wall time.
+    rng = random.Random(3)
+    vectors = []
+    while len(vectors) < 18:
+        v = [rng.randint(-9, 9) for _ in range(2)]
+        if any(v) and v not in vectors:
+            vectors.append(v)
+    X = VecSet(2, vectors)
+    assert len(enumerate_simplices(X)) == 222
+    assert len(positively_spanning_subsets(X)) == 251_392

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from psskit import VecSet, run_property_suite, suite_passed
+from psskit import VecSet, run_property_suite, simplicial, suite_passed
 from psskit.cli import main, vecset_json
 from psskit.conical import enumerate_mns
 from psskit.simplicial import basis_decomposition, enumerate_simplices
@@ -77,6 +78,25 @@ def test_suite_lp_count_gate(monkeypatch):
     calls = count_lp_calls(monkeypatch)
     run_property_suite(random_positive_basis(6, 3, 1))
     assert len(calls) <= 411
+
+
+def test_suite_builds_the_union_closure_once(monkeypatch):
+    # The spanning-only factorization scan and the lattice check share one
+    # memoized closure; a build is one read of the simplices from inside it.
+    builds = []
+    original = simplicial.enumerate_simplices
+
+    def counted(X):
+        if sys._getframe(1).f_code.co_name == "positively_spanning_subsets":
+            builds.append(X)
+        return original(X)
+
+    monkeypatch.setattr(simplicial, "enumerate_simplices", counted)
+    checks = {c.name: c for c in run_property_suite(make_cross(3))}
+    assert checks["independence_factorization"].applicable
+    assert checks["lattice_boolean_laws"].applicable
+    assert suite_passed(checks.values())
+    assert len(builds) == 1
 
 
 def _frames_and_simplices(X):
