@@ -56,16 +56,12 @@ class CliInputError(Exception):
     pass
 
 
-def _rat_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _vec_json(v: QVec) -> list[str]:
-    return [_rat_str(c) for c in v]
+    return [str(c) for c in v]
 
 
 def _coeffs_json(coeffs: dict) -> dict:
-    return {str(i): _rat_str(c) for i, c in sorted(coeffs.items())}
+    return {str(i): str(c) for i, c in sorted(coeffs.items())}
 
 
 def _parse_entry(raw, vec_index: int) -> Fraction:
@@ -273,7 +269,7 @@ def cmd_gale(args) -> int:
         "dependency_dimension": len(basis),
         "locally_equilibrated": is_locally_equilibrated(X),
         "dependency_basis": [
-            {str(i): _rat_str(c) for i, c in enumerate(v.coeffs) if c != 0}
+            {str(i): str(c) for i, c in enumerate(v.coeffs) if c != 0}
             for v in basis
         ],
     }
@@ -281,7 +277,7 @@ def cmd_gale(args) -> int:
         nn = nonneg_dependency_basis(X)
         diagram = gale_diagram(X, nn)
         report["nonneg_basis"] = [
-            {str(i): _rat_str(c) for i, c in enumerate(v.coeffs) if c != 0}
+            {str(i): str(c) for i, c in enumerate(v.coeffs) if c != 0}
             for v in nn
         ]
         report["points"] = [_vec_json(p) for p in diagram.points]

@@ -10,11 +10,13 @@ frames of a set to the frames of a positively spanning subset.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import PreconditionError, PropertyViolation
-from .ratlin import QVec, column_rank, solve_nonneg, strict_separator
-from .simplicial import enumerate_simplices, is_simplex as simplex_structure
-from .spanset import VecSet, _memoized, extract_positive_basis, is_positive_basis, is_pss
+from .ratlin import QVec, solve_nonneg, strict_separator
+from .simplicial import enumerate_simplices, is_simplex
+from .spanset import VecSet, _mask, _members, _memoized, extract_positive_basis
+from .spanset import is_positive_basis, is_pss
 
 _ONE = Fraction(1)
 
@@ -160,7 +162,7 @@ def verify_main_bounds(X: VecSet) -> MainBoundsReport:
     card = len(X)
     frames = len(enumerate_mns(X))
     cross = is_cross(X)
-    simplex = simplex_structure(X) is not None
+    simplex = is_simplex(X) is not None
     checks = [
         1 <= n <= d,
         d + 1 <= card <= 2 * d,
@@ -198,44 +200,34 @@ def cone_decomposition(X: VecSet) -> ConeCover:
     Y, kept = extract_positive_basis(X)
     in_y = {i: a for a, i in enumerate(kept)}
     frames = enumerate_mns(Y)
-    assignment: dict[int, int] = {}
+
+    def holds(frame: ConeFrame, i: int) -> bool:
+        if i in in_y:
+            return in_y[i] in frame.members
+        # a failing separator rules membership out without an LP
+        return (
+            frame.witness.dot(X[i]) > 0
+            and solve_nonneg(Y.matrix(frame.members), X[i]).feasible
+        )
+
     groups: dict[int, list[int]] = {}
     for i in X.indices():
-        if i in in_y:
-            hits = (k for k, f in enumerate(frames) if in_y[i] in f.members)
-        else:
-            hits = (
-                k
-                for k, f in enumerate(frames)
-                # a failing separator rules membership out without an LP
-                if f.witness.dot(X[i]) > 0
-                and solve_nonneg(Y.matrix(f.members), X[i]).feasible
-            )
-        target = next(hits, None)
+        target = next((k for k, f in enumerate(frames) if holds(f, i)), None)
         if target is None:
             raise PropertyViolation("element escaped every maximal frame")
-        assignment[i] = target
         groups.setdefault(target, []).append(i)
-
     used = sorted(groups)
-    parts = []
-    part_frames = []
-    witnesses = []
-    renumber = {}
-    for new_k, k in enumerate(used):
-        renumber[k] = new_k
-        part = tuple(groups[k])
-        z = frames[k].witness
-        for i in part:
-            if z.dot(X[i]) <= 0:
-                raise PropertyViolation("part member not strictly separated")
-        parts.append(part)
-        part_frames.append(frames[k])
-        witnesses.append(z)
-    assignment = {i: renumber[k] for i, k in assignment.items()}
-    if len(parts) > (1 << d):
+    for k in used:
+        if any(frames[k].witness.dot(X[i]) <= 0 for i in groups[k]):
+            raise PropertyViolation("part member not strictly separated")
+    if len(used) > (1 << d):
         raise PropertyViolation("more than 2^d parts")
-    return ConeCover(tuple(parts), tuple(part_frames), tuple(witnesses), assignment)
+    return ConeCover(
+        tuple(tuple(groups[k]) for k in used),
+        tuple(frames[k] for k in used),
+        tuple(frames[k].witness for k in used),
+        {i: part for part, k in enumerate(used) for i in groups[k]},
+    )
 
 
 def max_disjoint_family(X: VecSet) -> list[ConeFrame]:
@@ -253,13 +245,8 @@ def max_disjoint_family(X: VecSet) -> list[ConeFrame]:
         raise PreconditionError("set does not span the full space")
     kept: list[ConeFrame] = []
     for frame in enumerate_mns(X):
-        ok = True
-        for other in kept:
-            common = sorted(frame.member_set() & other.member_set())
-            if column_rank(X.columns(common)) >= d:
-                ok = False
-                break
-        if ok:
+        mask = _mask(frame.members)
+        if all(X.rank(_members(mask & _mask(f.members))) < d for f in kept):
             kept.append(frame)
     if len(kept) > (1 << d):
         raise PropertyViolation("family exceeds 2^d")
@@ -292,17 +279,14 @@ def restrict_frames(X: VecSet, Y: VecSet) -> FrameRestriction:
 
     frames_x = enumerate_mns(X)
     frames_y = enumerate_mns(Y)
-    y_members = {f.member_set(): a for a, f in enumerate(frames_y)}
+    y_frame = {f.members: a for a, f in enumerate(frames_y)}
     x_index_of_y = {i: j for j, i in enumerate(y_to_x)}
 
-    traces: list[tuple[int, ...]] = []
-    mapping: list[int | None] = []
-    for frame in frames_x:
-        inter = frozenset(
-            x_index_of_y[i] for i in frame.members if i in x_index_of_y
-        )
-        traces.append(tuple(sorted(inter)))
-        mapping.append(y_members.get(inter))
+    traces = [
+        tuple(sorted(x_index_of_y[i] for i in f.members if i in x_index_of_y))
+        for f in frames_x
+    ]
+    mapping = [y_frame.get(tr) for tr in traces]
     forward_holds = all(m is not None for m in mapping)
 
     preimages = []
@@ -315,23 +299,16 @@ def restrict_frames(X: VecSet, Y: VecSet) -> FrameRestriction:
             )
         preimages.append(pre)
 
-    collisions = []
-    full_rank = True
     by_trace: dict[tuple[int, ...], list[int]] = {}
     for k, tr in enumerate(traces):
         by_trace.setdefault(tr, []).append(k)
-    for tr in sorted(by_trace):
-        group = by_trace[tr]
-        for u in range(len(group)):
-            for v in range(u + 1, len(group)):
-                k1, k2 = group[u], group[v]
-                common = sorted(
-                    frames_x[k1].member_set() & frames_x[k2].member_set()
-                )
-                rk = column_rank(X.columns(common))
-                if rk != d:
-                    full_rank = False
-                collisions.append((k1, k2, rk))
+    masks = [_mask(f.members) for f in frames_x]
+    collisions = [
+        (k1, k2, X.rank(_members(masks[k1] & masks[k2])))
+        for tr in sorted(by_trace)
+        for k1, k2 in combinations(by_trace[tr], 2)
+    ]
+    full_rank = all(rk == d for _, _, rk in collisions)
     return FrameRestriction(
         tuple(traces),
         tuple(mapping),

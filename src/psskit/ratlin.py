@@ -265,9 +265,12 @@ def solve_linear(columns, rhs) -> list[Fraction] | None:
     """One exact solution of ``sum_j x_j columns[j] = rhs`` or None.
 
     Free variables are set to zero, so the answer is deterministic: the
-    reduced right-hand side's tail c gives x_j = -c_j / c_rhs.
+    reduced right-hand side's tail c gives x_j = -c_j / c_rhs.  A column
+    of another length than rhs raises ``DimensionMismatchError``.
     """
-    rhs = list(rhs)
+    rhs, columns = list(rhs), list(columns)
+    if any(len(c) != len(rhs) for c in columns):
+        raise DimensionMismatchError(f"rhs has dimension {len(rhs)}, a column does not")
     v = _reduce(_with_combinations([*columns, rhs]), len(rhs))[-1]
     if v is None:  # a pivot: rhs lies outside the span of the columns
         return None

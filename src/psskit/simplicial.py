@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import PreconditionError, PropertyViolation
-from .ratlin import QVec, column_rank, kernel_basis, solve_linear, solve_nonneg
+from .ratlin import QVec, column_rank, solve_linear, solve_nonneg
 from .ratlin import _with_combinations
 from .spanset import (
     VecSet,
@@ -95,16 +95,14 @@ class SwapReport:
 def is_simplex(S: VecSet) -> Simplex | None:
     """The simplex structure of S as a whole, or None.
 
-    S is a simplex exactly when its kernel is one-dimensional with a
-    representative that is nonzero and of one sign in every coordinate;
-    this is equivalent to minimality of the positive zero-combination.
-    ``kernel_basis`` scales the first entry to 1, so a simplex is a
-    one-vector kernel whose entries are all positive: its dependency.
+    A simplex is minimal, so no proper subset of it is one: S is a simplex
+    exactly when it is its own only simplex, and the walk's dependency,
+    normalised to 1 on the smallest member, is then S's.
     """
-    kern = kernel_basis(S.matrix())
-    if len(kern) != 1 or any(c <= 0 for c in kern[0]):
-        return None
-    return Simplex(tuple(S.indices()), dict(zip(S.indices(), kern[0])))
+    simplices = enumerate_simplices(S)
+    if [s.members for s in simplices] == [tuple(S.indices())]:
+        return simplices[0]
+    return None
 
 
 @_memoized

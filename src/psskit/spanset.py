@@ -44,8 +44,8 @@ class VecSet:
 
     def __init__(self, dim: int, vectors):
         vectors = tuple(v if isinstance(v, QVec) else QVec(v) for v in vectors)
-        if dim < 1:
-            raise DimensionMismatchError(f"dimension must be positive, got {dim}")
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise DimensionMismatchError(f"dimension must be a positive int, got {dim!r}")
         seen: dict[tuple, int] = {}
         for i, v in enumerate(vectors):
             if v.dim != dim:

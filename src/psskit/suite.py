@@ -22,7 +22,7 @@ from .gale import (
     verify_gale_theorem,
 )
 from .latticemod import build_lattice
-from .ratlin import QVec, column_rank
+from .ratlin import QVec
 from .simplicial import (
     basis_decomposition,
     enumerate_simplices,
@@ -53,10 +53,8 @@ class SuiteCheck:
 
 def _check_gen_equivalence(X: VecSet) -> tuple[bool, str]:
     pss = is_pss(X)
-    covered = set()
-    for s in enumerate_simplices(X):
-        covered.update(s.members)
-    union = covered == set(X.indices())
+    covered = reduce(or_, (_mask(s.members) for s in enumerate_simplices(X)), 0)
+    union = covered == _mask(X.indices())
     return pss == union, f"pss={pss} simplex_union={union}"
 
 
@@ -167,7 +165,7 @@ def _check_max_family(X: VecSet) -> tuple[bool, str]:
 def _check_frame_rank(X: VecSet) -> tuple[bool, str]:
     r = X.rank()
     for frame in enumerate_mns(X):
-        if column_rank(X.columns(frame.members)) != r:
+        if X.rank(frame.members) != r:
             return False, f"frame {frame.members} spans below rank {r}"
     return True, "every maximal frame spans the hull"
 

@@ -151,6 +151,19 @@ def oracle_enumerate_simplices(X: VecSet) -> list:
     return sorted(found, key=lambda s: s.members)
 
 
+def oracle_is_simplex(S: VecSet):
+    """The simplex structure of S by its kernel, as ``simplicial.is_simplex``
+    decided it before it read the walk's simplices: S is a simplex when its
+    kernel is one vector with all entries positive (``kernel_basis`` scales
+    the first to 1), and that vector is the dependency."""
+    from psskit.simplicial import Simplex
+
+    kern = kernel_basis(S.matrix())
+    if len(kern) != 1 or any(c <= 0 for c in kern[0]):
+        return None
+    return Simplex(tuple(S.indices()), dict(zip(S.indices(), kern[0])))
+
+
 def oracle_is_pss(X: VecSet) -> bool:
     """Positive spanning by one LP per element: every -x in the positive
     span, as ``spanset.is_pss`` decided it before it took one LP."""
@@ -356,8 +369,9 @@ def brute_force_membership(p: QVec, X: VecSet, support_limit=None) -> bool:
 
 
 def count_lp_calls(monkeypatch, names=("solve_nonneg", "strict_separator")) -> list:
-    """Count the calls of ``ratlin``'s LP entry points ``names`` from every
-    psskit module that bound them; the returned list grows by one a call."""
+    """Count the calls of ``ratlin``'s entry points ``names`` (by default
+    the LPs) from every psskit module that bound them, the package's own
+    namespace included; the returned list grows by one a call."""
     import sys
 
     from psskit import ratlin

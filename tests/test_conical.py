@@ -18,6 +18,7 @@ from psskit.conical import composition_inequality_holds
 from psskit.errors import PreconditionError
 from psskit.genlib import (
     AntichainSpec,
+    example_x9,
     make_cross,
     make_from_antichain,
     make_simplex,
@@ -96,6 +97,21 @@ class TestEnumerateMns:
             if fs and all(j in fs or fs | {j} not in family for j in range(n))
         )
         assert [f.members for f in enumerate_mns(X)] == expected
+
+    @pytest.mark.parametrize(
+        "build, frames, lps",
+        [
+            (example_x9, 18, 336),
+            (lambda: random_positive_basis(6, 3, 1), 13, 390),
+            (lambda: make_cross(4), 16, 120),
+        ],
+        ids=["x9", "rpb631", "cross4"],
+    )
+    def test_frame_walk_lp_count(self, build, frames, lps, monkeypatch):
+        # the walk's separator LPs on a fresh set, at most today's count
+        calls = count_lp_calls(monkeypatch, names=("strict_separator",))
+        assert len(enumerate_mns(build())) == frames
+        assert len(calls) <= lps
 
     def test_enumeration_deterministic(self):
         X = polygon_example(3)
@@ -276,6 +292,13 @@ class TestRestrictFrames:
         res = restrict_frames(X, X.subset([0, 1, 2]))
         assert res.traces[1] == res.traces[2] == (0, 2)
         assert res.collisions == ((1, 2, 2),)
+        assert res.collisions_full_rank
+
+    def test_three_frames_sharing_a_trace_collide_pairwise(self):
+        X = VecSet(2, [[3, 0], [-3, 1], [-3, -1], [3, 2], [-2, 2], [0, -3], [1, -1]])
+        res = restrict_frames(X, X.subset([0, 1, 2]))
+        assert res.traces[3] == res.traces[4] == res.traces[5]
+        assert res.collisions == ((3, 4, 2), (3, 5, 2), (4, 5, 2))
         assert res.collisions_full_rank
 
     def test_rejects_non_spanning_subset(self):

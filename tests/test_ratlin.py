@@ -173,6 +173,11 @@ class TestIntegerEliminationOracle:
         assert solve_linear([], [1, 0]) is None
         assert solve_linear([[0, 0]], [0, 0]) == [0]
 
+    @pytest.mark.parametrize("rhs", [[1], [1, 1, 1]], ids=["short", "long"])
+    def test_solve_linear_rejects_rhs_of_another_length(self, rhs):
+        with pytest.raises(DimensionMismatchError):
+            solve_linear([[1, 0], [0, 1]], rhs)
+
 
 class TestSolveNonneg:
     def test_unit_square(self):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,8 @@ from psskit import (
     reay_partition,
     sxy_classify,
 )
-from psskit import simplicial, spanset
-from psskit.errors import PreconditionError
+from psskit import spanset
+from psskit.errors import DimensionMismatchError, PreconditionError
 from psskit.genlib import (
     AntichainSpec,
     example_x9,
@@ -28,7 +29,13 @@ from psskit.genlib import (
 )
 from psskit.ratlin import column_rank
 
-from conftest import oracle_enumerate_simplices, oracle_factorization_scan, vecsets
+from conftest import (
+    count_lp_calls,
+    oracle_enumerate_simplices,
+    oracle_factorization_scan,
+    oracle_is_simplex,
+    vecsets,
+)
 
 F = Fraction
 
@@ -59,6 +66,13 @@ class TestIsSimplex:
     def test_zero_entry_in_kernel_rejected(self):
         s = is_simplex(VecSet(2, [[1, 0], [0, 1], [-1, 0]]))
         assert s is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(vecsets(max_dim=3, max_size=6))
+    def test_matches_kernel_sign_oracle(self, X):
+        # the set itself, and each of its simplices, which is one
+        for S in [X] + [X.subset(s.members) for s in oracle_enumerate_simplices(X)]:
+            assert is_simplex(S) == oracle_is_simplex(S)
 
 
 class TestEnumerate:
@@ -145,6 +159,16 @@ class TestSimplexWalkOracle:
         # members and dependencies, in canonical order
         assert enumerate_simplices(X) == oracle_enumerate_simplices(X)
 
+    @pytest.mark.parametrize("X", SETS, ids=lambda X: f"d{X.dim}n{len(X)}r{X.rank()}")
+    def test_is_simplex_matches_kernel_sign_oracle(self, X):
+        # the set and every subset small enough to be a simplex, so every
+        # simplex the pool holds (see the pool test) is asked as a set
+        subsets = [tuple(X.indices())] + [
+            c for k in range(1, X.rank() + 2) for c in combinations(X.indices(), k)
+        ]
+        for c in subsets:
+            assert is_simplex(X.subset(c)) == oracle_is_simplex(X.subset(c))
+
     def test_pool_covers_dimensions_ranks_and_kinds(self):
         assert len(self.SETS) >= 40
         assert {X.dim for X in self.SETS} == set(range(1, 7))
@@ -163,9 +187,7 @@ class TestSimplexWalkOracle:
         ids=["cross6", "rpb631"],
     )
     def test_simplices_need_no_kernel(self, build, simplices, eliminations, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("enumerate_simplices ran a kernel or a solve")
-
+        kernels = count_lp_calls(monkeypatch, names=("kernel_basis", "solve_linear"))
         calls = []
         original = spanset._eliminate
 
@@ -173,10 +195,9 @@ class TestSimplexWalkOracle:
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(simplicial, "kernel_basis", refuse)
-        monkeypatch.setattr(simplicial, "solve_linear", refuse)
         monkeypatch.setattr(spanset, "_eliminate", counted)
         assert len(enumerate_simplices(build())) == simplices
+        assert not kernels, "enumerate_simplices ran a kernel or a solve"
         # each extension of an independent set reduces every residual once
         assert len(calls) == eliminations
 
@@ -303,6 +324,8 @@ class TestSxy:
             sxy_classify(
                 VecSet(3, [[1, 0, 0], [-1, 0, 0]]), QVec([0, 1, 0])
             )  # outside the span
+        with pytest.raises(DimensionMismatchError):
+            sxy_classify(SIMPLEX2, QVec([1, 1, 1]))  # another dimension
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())

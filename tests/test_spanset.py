@@ -23,6 +23,7 @@ from psskit import (
     skeleton_contains,
 )
 from psskit.errors import (
+    DimensionMismatchError,
     DuplicateVectorError,
     PreconditionError,
     ZeroVectorError,
@@ -62,6 +63,15 @@ class TestConstruction:
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateVectorError):
             VecSet(2, [[1, 0], [1, 0]])
+
+    @pytest.mark.parametrize(
+        "dim, vectors",
+        [(2.0, [[1, 0], [0, 1], [-1, -1]]), (True, [[1]]), ("2", [[1, 0]]), (0, [])],
+        ids=["float", "bool", "str", "zero"],
+    )
+    def test_dimension_must_be_a_positive_int(self, dim, vectors):
+        with pytest.raises(DimensionMismatchError):
+            VecSet(dim, vectors)
 
 
 class TestLinearDependence:
@@ -487,6 +497,10 @@ class TestRintPositiveSpan:
     def test_dependent_base_rejected(self):
         with pytest.raises(PreconditionError):
             in_rint_positive_span(QVec([1]), VecSet(1, [[1], [2]]))
+
+    def test_point_of_another_dimension_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            in_rint_positive_span(QVec([1]), VecSet(2, [[1, 0], [0, 1]]))
 
 
 class TestReplaceElement:

@@ -34,6 +34,8 @@ from conftest import count_lp_calls
         VecSet(2, [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]]),
         # not a spanning set at all: most checks skip, the rest hold
         VecSet(2, [[1, 0], [0, 1]]),
+        # not spanning, though it holds a simplex: the simplices miss e2
+        VecSet(2, [[1, 0], [-1, 0], [0, 1]]),
     ],
 )
 def test_suite_passes_on_representative_inputs(X):
