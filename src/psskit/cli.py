@@ -5,18 +5,21 @@ with rationals written as strings (integers allowed), runs an analysis,
 prints a machine-readable JSON report with a fixed key order to stdout
 and a short human summary to stderr.
 
-Exit codes: 0 success, 1 property-suite failure, 2 input error, 3 internal
-error (a result failed its own re-check: a bug, not bad input).
+Exit codes: 0 success, 1 a failing property suite (``verify``) only, 2
+input error, 3 internal error: a result failed its own re-check, which is a
+bug, not bad input.  Inside ``verify`` such a failure fails its check.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .conical import cone_decomposition, enumerate_mns, is_cross
-from .errors import PreconditionError, PssKitError, VectorInputError
+from .errors import PreconditionError, VectorInputError
 from .gale import (
     dependency_basis,
     gale_diagram,
@@ -142,8 +145,7 @@ def _load_guarded(args) -> VecSet:
     return X
 
 
-def cmd_analyze(args) -> int:
-    X = _load_guarded(args)
+def cmd_analyze(X: VecSet) -> tuple[dict, str]:
     simplices = enumerate_simplices(X)
     frames = enumerate_mns(X)
     pss = is_pss(X)
@@ -172,7 +174,6 @@ def cmd_analyze(args) -> int:
             "simplex": list(fact.witness_simplex.members),
         }
     report = {
-        "command": "analyze",
         "dim": X.dim,
         "cardinality": len(X),
         "rank": X.rank(),
@@ -190,63 +191,50 @@ def cmd_analyze(args) -> int:
         },
         "certificates": certificates,
     }
-    flags = report["flags"]
     summary = (
         f"analyze: {len(X)} vectors in R^{X.dim}, rank {report['rank']}; "
-        f"pss={flags['pss']} positive_basis={flags['positive_basis']} "
+        f"pss={pss} positive_basis={basis} "
         f"simplices={len(simplices)} frames={len(frames)}"
     )
-    _emit(report, summary)
-    return _EXIT_OK
+    return report, summary
 
 
-def cmd_simplices(args) -> int:
-    X = _load_guarded(args)
+def cmd_simplices(X: VecSet) -> tuple[dict, str]:
     simplices = enumerate_simplices(X)
     report = {
-        "command": "simplices",
         "count": len(simplices),
         "simplices": [_simplex_json(s) for s in simplices],
     }
-    _emit(report, f"simplices: {len(simplices)} found")
-    return _EXIT_OK
+    return report, f"simplices: {len(simplices)} found"
 
 
-def cmd_lattice(args) -> int:
-    X = _load_guarded(args)
+def cmd_lattice(X: VecSet) -> tuple[dict, str]:
     lattice = build_lattice(X)
     report = {
-        "command": "lattice",
         "size": len(lattice),
         "elements": [
             {"subset": list(e.subset), "simplices": list(e.simplices)}
             for e in lattice
         ],
     }
-    _emit(report, f"lattice: {len(lattice)} positively spanning subsets")
-    return _EXIT_OK
+    return report, f"lattice: {len(lattice)} positively spanning subsets"
 
 
-def cmd_mns(args) -> int:
-    X = _load_guarded(args)
+def cmd_mns(X: VecSet) -> tuple[dict, str]:
     frames = enumerate_mns(X)
     report = {
-        "command": "mns",
         "count": len(frames),
         "frames": [
             {"members": list(f.members), "witness": _vec_json(f.witness)}
             for f in frames
         ],
     }
-    _emit(report, f"mns: {len(frames)} maximal pointed frames")
-    return _EXIT_OK
+    return report, f"mns: {len(frames)} maximal pointed frames"
 
 
-def cmd_cones(args) -> int:
-    X = _load_guarded(args)
+def cmd_cones(X: VecSet) -> tuple[dict, str]:
     cover = cone_decomposition(X)
     report = {
-        "command": "cones",
         "parts": [
             {
                 "members": list(part),
@@ -257,15 +245,12 @@ def cmd_cones(args) -> int:
         ],
         "assignment": {str(i): k for i, k in sorted(cover.assignment.items())},
     }
-    _emit(report, f"cones: covered by {len(cover.parts)} pointed parts")
-    return _EXIT_OK
+    return report, f"cones: covered by {len(cover.parts)} pointed parts"
 
 
-def cmd_gale(args) -> int:
-    X = _load_guarded(args)
+def cmd_gale(X: VecSet) -> tuple[dict, str]:
     basis = dependency_basis(X)
     report = {
-        "command": "gale",
         "dependency_dimension": len(basis),
         "locally_equilibrated": is_locally_equilibrated(X),
         "dependency_basis": [
@@ -281,42 +266,24 @@ def cmd_gale(args) -> int:
             for v in nn
         ]
         report["points"] = [_vec_json(p) for p in diagram.points]
-    _emit(report, f"gale: dependency space of dimension {len(basis)}")
-    return _EXIT_OK
+    return report, f"gale: dependency space of dimension {len(basis)}"
 
 
-def cmd_reay(args) -> int:
-    X = _load_guarded(args)
+def cmd_reay(X: VecSet) -> tuple[dict, str]:
     partition = reay_partition(X)
     report = {
-        "command": "reay",
         "parts": [list(p) for p in partition.parts],
         "dimensions": list(partition.dimensions),
     }
-    _emit(report, f"reay: {len(partition.parts)} telescoping parts")
-    return _EXIT_OK
+    return report, f"reay: {len(partition.parts)} telescoping parts"
 
 
-def cmd_verify(args) -> int:
-    X = _load_guarded(args)
+def cmd_verify(X: VecSet) -> tuple[dict, str]:
     checks = run_property_suite(X)
     ok = suite_passed(checks)
-    report = {
-        "command": "verify",
-        "passed": ok,
-        "checks": [
-            {
-                "name": c.name,
-                "applicable": c.applicable,
-                "passed": c.passed,
-                "detail": c.detail,
-            }
-            for c in checks
-        ],
-    }
+    report = {"passed": ok, "checks": [asdict(c) for c in checks]}
     ran = sum(1 for c in checks if c.applicable)
-    _emit(report, f"verify: {'PASS' if ok else 'FAIL'} ({ran} applicable checks)")
-    return _EXIT_OK if ok else _EXIT_SUITE
+    return report, f"verify: {'PASS' if ok else 'FAIL'} ({ran} applicable checks)"
 
 
 def _parse_list(raw: str, flag: str, parse=Fraction) -> list:
@@ -326,7 +293,7 @@ def _parse_list(raw: str, flag: str, parse=Fraction) -> list:
         raise CliInputError(f"{flag}: bad entry in {raw!r} ({exc})")
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> tuple[dict, str]:
     kind = args.kind
     if kind == "cross":
         scales = _parse_list(args.scales, "--scales") if args.scales else None
@@ -348,13 +315,24 @@ def cmd_generate(args) -> int:
         X = random_positive_basis(args.dim, args.count, args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise CliInputError(f"unknown generator {kind}")
-    sys.stdout.write(json.dumps(vecset_json(X), indent=2) + "\n")
-    sys.stderr.write(f"generate {kind}: {len(X)} vectors in R^{X.dim}\n")
-    return _EXIT_OK
+    return vecset_json(X), f"generate {kind}: {len(X)} vectors in R^{X.dim}"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    env_limit = os.environ.get("PSSKIT_MAX_SIZE")
+_INPUT_COMMANDS = {
+    "analyze": (cmd_analyze, "classification flags and counts"),
+    "simplices": (cmd_simplices, "enumerate simplex subsets"),
+    "lattice": (cmd_lattice, "positively spanning subset lattice"),
+    "mns": (cmd_mns, "maximal pointed frames"),
+    "cones": (cmd_cones, "conical decomposition"),
+    "gale": (cmd_gale, "dependency space and Gale diagram"),
+    "reay": (cmd_reay, "telescoping disjoint partition"),
+    "verify": (cmd_verify, "run the full property suite"),
+}
+
+
+@functools.cache
+def build_parser(env_limit: str | None) -> argparse.ArgumentParser:
+    """The parser for a given ``PSSKIT_MAX_SIZE`` value, built once per value."""
     try:
         default_limit = int(env_limit) if env_limit else DEFAULT_MAX_SIZE
     except ValueError:
@@ -365,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact analysis of positive spanning structure in vector sets",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_input_command(name, fn, help_text):
+    for name, (_, help_text) in _INPUT_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "input",
@@ -381,17 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"refuse exponential scans beyond this many vectors "
             f"(default {default_limit}; env PSSKIT_MAX_SIZE)",
         )
-        p.set_defaults(fn=fn)
-        return p
-
-    add_input_command("analyze", cmd_analyze, "classification flags and counts")
-    add_input_command("simplices", cmd_simplices, "enumerate simplex subsets")
-    add_input_command("lattice", cmd_lattice, "positively spanning subset lattice")
-    add_input_command("mns", cmd_mns, "maximal pointed frames")
-    add_input_command("cones", cmd_cones, "conical decomposition")
-    add_input_command("gale", cmd_gale, "dependency space and Gale diagram")
-    add_input_command("reay", cmd_reay, "telescoping disjoint partition")
-    add_input_command("verify", cmd_verify, "run the full property suite")
 
     g = sub.add_parser("generate", help="emit a named example set as JSON")
     g.add_argument(
@@ -405,27 +371,24 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--pairs", type=int, default=3, help="antipodal pairs (polygon)")
     g.add_argument("--count", type=int, default=1, help="simplex count (random)")
     g.add_argument("--seed", type=int, default=0, help="seed (random)")
-    g.set_defaults(fn=cmd_generate)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.fn(args)
-    except CliInputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return _EXIT_INPUT
-    except VectorInputError as exc:
-        where = f" (vector {exc.index})" if exc.index is not None else ""
+        args = build_parser(os.environ.get("PSSKIT_MAX_SIZE")).parse_args(argv)
+        if args.command == "generate":
+            _emit(*cmd_generate(args))
+            return _EXIT_OK
+        report, summary = _INPUT_COMMANDS[args.command][0](_load_guarded(args))
+        _emit({"command": args.command, **report}, summary)
+        failed = args.command == "verify" and not report["passed"]
+        return _EXIT_SUITE if failed else _EXIT_OK
+    except (CliInputError, VectorInputError, PreconditionError) as exc:
+        index = getattr(exc, "index", None)
+        where = f" (vector {index})" if index is not None else ""
         sys.stderr.write(f"error: {exc}{where}\n")
         return _EXIT_INPUT
-    except PreconditionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return _EXIT_INPUT
-    except PssKitError as exc:
-        sys.stderr.write(f"property failure: {exc}\n")
-        return _EXIT_SUITE
     except RuntimeError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return _EXIT_INTERNAL

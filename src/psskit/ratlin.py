@@ -242,6 +242,8 @@ def column_rank(columns) -> int:
     """Rank of a list of equal-length column vectors (no QMat required)."""
     # the rank of the transpose: each column is reduced as a row
     rows = [_integer_row(c) for c in columns]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise DimensionMismatchError("ragged columns")
     return _reduce(rows, len(rows[0]) if rows else 0).count(None)
 
 
@@ -371,6 +373,8 @@ def strict_separator(vectors: list[QVec]) -> FeasWitness:
     if not vectors:
         return FeasWitness.of_separator(QVec.zero(0))
     d = vectors[0].dim
+    if any(x.dim != d for x in vectors):
+        raise DimensionMismatchError("vectors of different dimensions")
     m = len(vectors)
     rows = [
         list(x) + [-v for v in x] + [-_ONE if k == i else _ZERO for k in range(m)]

@@ -3,7 +3,8 @@
 Each check is deterministic, exact, and either applicable to the input or
 skipped with a reason.  The CLI `verify` command feeds an input set
 through :func:`run_property_suite` and fails when any applicable check
-fails.
+fails.  A check whose result fails its own re-check (a
+``PropertyViolation``) fails, with the message as its detail.
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from .conical import (
     max_disjoint_family,
     verify_main_bounds,
 )
+from .errors import PropertyViolation
 from .gale import (
     is_locally_equilibrated,
     nonneg_dependency_basis,
@@ -251,7 +253,10 @@ def run_property_suite(X: VecSet) -> list[SuiteCheck]:
         if not applicable:
             results.append(SuiteCheck(name, False, True, "not applicable"))
             continue
-        passed, detail = fn(X)
+        try:
+            passed, detail = fn(X)
+        except PropertyViolation as exc:
+            passed, detail = False, str(exc)
         results.append(SuiteCheck(name, True, passed, detail))
     return results
 

@@ -151,6 +151,33 @@ def oracle_enumerate_simplices(X: VecSet) -> list:
     return sorted(found, key=lambda s: s.members)
 
 
+def oracle_frames_from_simplices(X: VecSet) -> list[tuple[int, ...]]:
+    """The maximal simplex-free index sets of X, by an include/exclude
+    recursion on the simplex masks.  A subset has a strict separator iff it
+    has no nonzero nonnegative dependency (Gordan), whose support holds a
+    simplex, so these are the maximal pointed frames."""
+    from psskit.simplicial import enumerate_simplices
+
+    simplices = [sum(1 << i for i in s.members) for s in enumerate_simplices(X)]
+    n = len(X)
+    found = []
+
+    def free(m: int) -> bool:
+        return not any(s & ~m == 0 for s in simplices)
+
+    def walk(j: int, chosen: int) -> None:
+        if j == n:
+            if all(chosen >> k & 1 or not free(chosen | 1 << k) for k in range(n)):
+                found.append(tuple(k for k in range(n) if chosen >> k & 1))
+            return
+        if free(chosen | 1 << j):
+            walk(j + 1, chosen | 1 << j)
+        walk(j + 1, chosen)
+
+    walk(0, 0)
+    return sorted(found)
+
+
 def oracle_is_simplex(S: VecSet):
     """The simplex structure of S by its kernel, as ``simplicial.is_simplex``
     decided it before it read the walk's simplices: S is a simplex when its

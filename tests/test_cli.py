@@ -292,7 +292,8 @@ class TestExitCodes:
         assert out == ""
         assert err == "internal error: simplex returned an invalid certificate\n"
 
-    def test_property_violation_still_exits_one(self, monkeypatch, capsys):
+    def test_property_violation_exits_three(self, monkeypatch, capsys):
+        # a failed re-check is an internal error outside the suite, too
         from psskit.errors import PropertyViolation
 
         def broken(X):
@@ -301,9 +302,63 @@ class TestExitCodes:
         monkeypatch.setattr("psskit.cli.cone_decomposition", broken)
         payload = json.dumps({"dim": 1, "vectors": [["1"], ["-1"]]})
         code, out, err = run_cli(["cones"], payload, monkeypatch, capsys)
-        assert code == 1
+        assert code == 3
         assert out == ""
-        assert err == "property failure: element escaped every maximal frame\n"
+        assert err == "internal error: element escaped every maximal frame\n"
+
+    def test_property_violation_in_a_check_fails_that_check(self, monkeypatch, capsys):
+        from psskit.errors import PropertyViolation
+
+        def broken(X):
+            raise PropertyViolation("non-positive coefficient re-checked")
+
+        monkeypatch.setattr("psskit.suite._check_caratheodory", broken)
+        payload = json.dumps({"dim": 1, "vectors": [["1"], ["-1"]]})
+        code, out, err = run_cli(["verify"], payload, monkeypatch, capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["passed"] is False
+        failed = [c for c in report["checks"] if c["applicable"] and not c["passed"]]
+        assert failed == [
+            {
+                "name": "conic_caratheodory",
+                "applicable": True,
+                "passed": False,
+                "detail": "non-positive coefficient re-checked",
+            }
+        ]
+        assert err.startswith("verify: FAIL")
+
+    @pytest.mark.parametrize(
+        "command", ["analyze", "simplices", "lattice", "mns", "cones", "gale", "reay", "verify"]
+    )
+    def test_success_exits_zero(self, command, monkeypatch, capsys):
+        payload = json.dumps({"dim": 1, "vectors": [["1"], ["-1"]]})
+        code, out, err = run_cli([command], payload, monkeypatch, capsys)
+        assert code == 0
+        assert next(iter(json.loads(out).items())) == ("command", command)
+        assert err.startswith(f"{command}: ")
+
+    def test_parser_built_once_per_env_value(self, monkeypatch, capsys):
+        import argparse
+
+        from psskit.cli import build_parser
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.setenv("PSSKIT_MAX_SIZE", "17")
+        build_parser.cache_clear()
+        payload = json.dumps({"dim": 1, "vectors": [["1"], ["-1"]]})
+        for _ in range(2):
+            code, _, _ = run_cli(["simplices"], payload, monkeypatch, capsys)
+            assert code == 0
+        assert built.count("psskit") == 1
 
 
 class TestDeterminism:

@@ -28,7 +28,7 @@ from psskit.genlib import (
 from psskit.ratlin import column_rank, solve_nonneg, strict_separator
 from psskit.spanset import extract_positive_basis, is_pss, positively_dependent
 
-from conftest import count_lp_calls, vecsets
+from conftest import count_lp_calls, oracle_frames_from_simplices, vecsets
 
 
 def s_union_minus_s():
@@ -97,6 +97,32 @@ class TestEnumerateMns:
             if fs and all(j in fs or fs | {j} not in family for j in range(n))
         )
         assert [f.members for f in enumerate_mns(X)] == expected
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *(lambda d=d: make_cross(d) for d in (2, 3, 4, 5)),
+            *(lambda n=n: polygon_example(n) for n in (3, 4, 5)),
+            example_x9,
+            *(lambda s=s: random_positive_basis(6, 3, s) for s in (1, 3, 15)),
+            lambda: VecSet(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, 0], [0, -1, -1]]),
+            lambda: VecSet(2, [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]]),
+            lambda: VecSet(3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1], [2, 1, 1]]),
+        ],
+        ids=[
+            "cross2", "cross3", "cross4", "cross5", "polygon3", "polygon4", "polygon5",
+            "x9", "rpb631", "rpb633", "rpb6315", "P", "C", "pointed",
+        ],
+    )
+    def test_frames_are_the_maximal_simplex_free_sets(self, build):
+        # completeness, which the suite's maximality check does not cover
+        X = build()
+        assert [f.members for f in enumerate_mns(X)] == oracle_frames_from_simplices(X)
+
+    @settings(max_examples=50, deadline=None)
+    @given(vecsets(max_dim=3, max_size=7))
+    def test_frames_are_the_maximal_simplex_free_sets_random(self, X):
+        assert [f.members for f in enumerate_mns(X)] == oracle_frames_from_simplices(X)
 
     @pytest.mark.parametrize(
         "build, frames, lps",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from psskit import QMat, QVec, kernel_basis, rank, solve_nonneg, strict_separator
 from psskit.errors import DimensionMismatchError, ZeroVectorError
-from psskit.ratlin import _phase_one, _reduce, _with_combinations, solve_linear
+from psskit.ratlin import _phase_one, _reduce, _with_combinations, column_rank, solve_linear
 
 from conftest import (
     brute_force_nonneg_zero_combo,
@@ -178,6 +178,11 @@ class TestIntegerEliminationOracle:
         with pytest.raises(DimensionMismatchError):
             solve_linear([[1, 0], [0, 1]], rhs)
 
+    @pytest.mark.parametrize("columns", [[[1], [0, 1]], [[1, 0], [1]]], ids=["long-last", "short-last"])
+    def test_column_rank_rejects_ragged_columns(self, columns):
+        with pytest.raises(DimensionMismatchError):
+            column_rank(columns)
+
 
 class TestSolveNonneg:
     def test_unit_square(self):
@@ -295,6 +300,10 @@ class TestStrictSeparator:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVectorError):
             strict_separator([QVec([1, 0]), QVec([0, 0])])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            strict_separator([QVec([1, 0]), QVec([1])])
 
     @settings(max_examples=50, deadline=None)
     @given(vecsets(max_dim=3, max_size=5))
