@@ -93,41 +93,58 @@ def _scaled_extension(z: QVec, x: QVec) -> QVec | None:
     return None
 
 
+def _explore(
+    X: VecSet,
+    closing: list[list[int]],
+    family: dict[int, QVec],
+    mask: int,
+    witness: QVec,
+) -> None:
+    """Record ``mask`` with its separator, then every pointed extension of
+    it by larger indices, depth first.
+
+    ``closing[j]`` holds the masks of the simplices whose largest member
+    is j: as ``mask`` is simplex-free and below j, these are the only
+    simplices that adding j can complete.  A module-level function, not a
+    closure, so a finished walk leaves no reference cycle behind.
+    """
+    family[mask] = witness
+    for j in range(mask.bit_length(), len(X)):
+        grown = mask | 1 << j
+        if any(s & ~grown == 0 for s in closing[j]):
+            continue
+        w = _scaled_extension(witness, X[j])
+        if w is None:
+            res = strict_separator([X[i] for i in _members(grown)])
+            if res.kind != "separator":
+                raise RuntimeError("simplex-free subset without a strict separator")
+            w = res.separator
+        _explore(X, closing, family, grown, w)
+
+
 @_memoized
 def enumerate_mns(X: VecSet) -> list[ConeFrame]:
     """All maximal negatively independent subsets, canonically ordered.
 
-    Candidate sets grow by ascending index; a subset without a strict
-    separator cannot extend, which prunes the search to the negatively
-    independent family.  Maximality is then checked element-wise: a member
-    of the family is maximal when no excluded vector keeps it in the
-    family.
+    Candidate sets grow by ascending index.  A subset spans a pointed cone
+    iff it holds no simplex (Gordan's alternative: the support of a
+    nonnegative dependency holds a positive circuit), so the memoized
+    simplex masks decide which extensions are pruned, with no LP.  A
+    simplex-free extension rescales its parent's separator when it can and
+    otherwise asks one LP, which must then find a separator.  Maximality
+    is checked element-wise: a member of the family is maximal when no
+    excluded vector keeps it in the family.
     """
     n = len(X)
-    family: dict[frozenset, QVec] = {}
-
-    def explore(members: tuple[int, ...], witness: QVec):
-        family[frozenset(members)] = witness
-        start = members[-1] + 1 if members else 0
-        for j in range(start, n):
-            w = _scaled_extension(witness, X[j])
-            if w is None:
-                res = strict_separator([X[i] for i in members] + [X[j]])
-                if res.kind != "separator":
-                    continue
-                w = res.separator
-            explore(members + (j,), w)
-
-    explore((), QVec.zero(X.dim))
+    closing: list[list[int]] = [[] for _ in range(n)]
+    for s in enumerate_simplices(X):
+        closing[s.members[-1]].append(_mask(s.members))
+    family: dict[int, QVec] = {}
+    _explore(X, closing, family, 0, QVec.zero(X.dim))
     frames = []
-    for fs, witness in family.items():
-        if not fs:
-            if n > 0:
-                continue
-            frames.append(ConeFrame((), witness))
-            continue
-        if all(j in fs or fs | {j} not in family for j in range(n)):
-            frames.append(ConeFrame(tuple(sorted(fs)), witness))
+    for mask, witness in family.items():
+        if all(mask >> j & 1 or mask | 1 << j not in family for j in range(n)):
+            frames.append(ConeFrame(_members(mask), witness))
     frames.sort(key=lambda f: f.members)
     return frames
 

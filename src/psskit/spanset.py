@@ -250,27 +250,26 @@ def caratheodory_reduce(x: QVec, X: VecSet) -> SpanPoint:
 # skeleton and core
 
 
-def _independent_walk(X: VecSet, rows, size: int, visit) -> None:
+def _independent_walk(X: VecSet, rows, size: int, visit, members=()) -> None:
     """Call ``visit(members, residuals)`` on each independent subset of X
     of at most ``size`` elements, depth first in lexicographic order.
 
     ``rows`` holds one integer row per vector, its first ``X.dim`` entries
-    the vector; the residuals are these rows reduced against an echelon
-    form of ``members``.  A residual with a nonzero head extends the set,
-    a zero one lies in its span.
+    the vector, reduced against an echelon form of ``members`` (none at the
+    top call); these residuals are what ``visit`` gets.  A residual with a
+    nonzero head extends the set, a zero one lies in its span.  The walk
+    recurses through this module-level function, not a closure, so a
+    finished walk leaves no reference cycle behind.
     """
-
-    def walk(members: tuple[int, ...], residuals):
-        visit(members, residuals)
-        if len(members) == size:
-            return
-        for j in range(members[-1] + 1 if members else 0, len(X)):
-            row = residuals[j]
-            pc = next((c for c in range(X.dim) if row[c]), None)
-            if pc is not None:
-                walk(members + (j,), [_eliminate(v, row, pc) for v in residuals])
-
-    walk((), rows)
+    visit(members, rows)
+    if len(members) == size:
+        return
+    for j in range(members[-1] + 1 if members else 0, len(X)):
+        row = rows[j]
+        pc = next((c for c in range(X.dim) if row[c]), None)
+        if pc is not None:
+            reduced = [_eliminate(v, row, pc) for v in rows]
+            _independent_walk(X, reduced, size, visit, members + (j,))
 
 
 def _hyperplane_flats(X: VecSet) -> list[tuple[int, ...]]:

@@ -398,7 +398,7 @@ def brute_force_membership(p: QVec, X: VecSet, support_limit=None) -> bool:
 def count_lp_calls(monkeypatch, names=("solve_nonneg", "strict_separator")) -> list:
     """Count the calls of ``ratlin``'s entry points ``names`` (by default
     the LPs) from every psskit module that bound them, the package's own
-    namespace included; the returned list grows by one a call."""
+    namespace included; the returned list gets each call's result."""
     import sys
 
     from psskit import ratlin
@@ -408,8 +408,9 @@ def count_lp_calls(monkeypatch, names=("solve_nonneg", "strict_separator")) -> l
         original = getattr(ratlin, name)
 
         def counted(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
+            result = _original(*args, **kwargs)
+            calls.append(result)
+            return result
 
         for modname, mod in list(sys.modules.items()):
             if modname.split(".")[0] == "psskit" and vars(mod).get(name) is original:

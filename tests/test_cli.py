@@ -292,6 +292,20 @@ class TestExitCodes:
         assert out == ""
         assert err == "internal error: simplex returned an invalid certificate\n"
 
+    def test_frame_walk_without_separator_exits_three(self, monkeypatch, capsys):
+        # a simplex-free extension always has a separator; an LP that says
+        # otherwise is a bug, not a pruned branch
+        from psskit.ratlin import FeasWitness
+
+        monkeypatch.setattr(
+            "psskit.conical.strict_separator", lambda vectors: FeasWitness.infeasible()
+        )
+        payload = json.dumps({"dim": 1, "vectors": [["1"], ["-1"]]})
+        code, out, err = run_cli(["mns"], payload, monkeypatch, capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: simplex-free subset without a strict separator\n"
+
     def test_property_violation_exits_three(self, monkeypatch, capsys):
         # a failed re-check is an internal error outside the suite, too
         from psskit.errors import PropertyViolation

@@ -1,3 +1,4 @@
+import gc
 from itertools import combinations
 
 import pytest
@@ -25,10 +26,20 @@ from psskit.genlib import (
     polygon_example,
     random_positive_basis,
 )
-from psskit.ratlin import column_rank, solve_nonneg, strict_separator
-from psskit.spanset import extract_positive_basis, is_pss, positively_dependent
+from psskit.ratlin import FeasWitness, QVec, column_rank, solve_nonneg, strict_separator
+from psskit.spanset import (
+    extract_positive_basis,
+    is_pss,
+    positively_dependent,
+    skeleton_contains,
+)
 
 from conftest import count_lp_calls, oracle_frames_from_simplices, vecsets
+
+
+def _from_psskit(obj) -> bool:
+    module = getattr(obj, "__module__", None)
+    return isinstance(module, str) and module.split(".")[0] == "psskit"
 
 
 def s_union_minus_s():
@@ -122,22 +133,66 @@ class TestEnumerateMns:
     @settings(max_examples=50, deadline=None)
     @given(vecsets(max_dim=3, max_size=7))
     def test_frames_are_the_maximal_simplex_free_sets_random(self, X):
-        assert [f.members for f in enumerate_mns(X)] == oracle_frames_from_simplices(X)
+        # the simplex masks prune every extension that holds a simplex, so
+        # each LP the walk still asks finds a separator
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_lp_calls(mp, names=("strict_separator",))
+            frames = [f.members for f in enumerate_mns(X)]
+        assert frames == oracle_frames_from_simplices(X)
+        assert all(res.kind == "separator" for res in calls)
 
     @pytest.mark.parametrize(
         "build, frames, lps",
         [
-            (example_x9, 18, 336),
-            (lambda: random_positive_basis(6, 3, 1), 13, 390),
-            (lambda: make_cross(4), 16, 120),
+            (example_x9, 18, 278),
+            (lambda: random_positive_basis(6, 3, 1), 13, 323),
+            (lambda: make_cross(4), 16, 80),
         ],
         ids=["x9", "rpb631", "cross4"],
     )
     def test_frame_walk_lp_count(self, build, frames, lps, monkeypatch):
-        # the walk's separator LPs on a fresh set, at most today's count
+        # the walk's separator LPs on a fresh set, at most today's count;
+        # none answers "no", as the simplex masks decide those extensions
+        X = build()
         calls = count_lp_calls(monkeypatch, names=("strict_separator",))
-        assert len(enumerate_mns(build())) == frames
+        assert len(enumerate_mns(X)) == frames
         assert len(calls) <= lps
+        assert all(res.kind == "separator" for res in calls)
+
+    def test_simplex_free_extension_without_separator_is_internal_error(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "psskit.conical.strict_separator", lambda vectors: FeasWitness.infeasible()
+        )
+        with pytest.raises(RuntimeError, match="without a strict separator"):
+            enumerate_mns(make_cross(2))
+
+    def test_finished_walk_leaves_no_cyclic_garbage(self):
+        # the walks are module-level recursions, not self-referencing
+        # closures, so a set, its memo and its frames are freed by reference
+        # counting alone
+        runs = [
+            lambda: enumerate_mns(make_cross(3)),
+            lambda: enumerate_simplices(example_x9()),
+            lambda: skeleton_contains(QVec([1, 0, 0]), make_cross(3)),
+        ]
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for run in runs:
+                gc.garbage.clear()
+                run()
+                gc.collect()
+                ours = [o for o in gc.garbage if _from_psskit(o)]
+                assert ours == []
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
 
     def test_enumeration_deterministic(self):
         X = polygon_example(3)
