@@ -17,9 +17,7 @@ from .errors import (
 )
 from .ratlin import (
     FeasWitness,
-    QMat,
     QVec,
-    Rat,
     kernel_basis,
     rank,
     solve_nonneg,

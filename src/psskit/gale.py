@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, PropertyViolation
-from .ratlin import QVec, column_rank, kernel_basis, _integer_row, _reduce
+from .ratlin import QVec, kernel_basis, rank, _integer_row, _reduce
 from .simplicial import Simplex, enumerate_simplices
 from .spanset import VecSet, _mask, is_pss
 
@@ -57,9 +57,7 @@ def _check_dependency(X: VecSet, v) -> None:
 
 def dependency_basis(X: VecSet) -> list[Dependency]:
     """Canonical basis of the space of dependencies (may be empty)."""
-    if len(X) == 0:
-        return []
-    out = [Dependency(tuple(k)) for k in kernel_basis(X.matrix())]
+    out = [Dependency(tuple(k)) for k in kernel_basis(X.vectors)]
     for v in out:
         _check_dependency(X, v)
     return out
@@ -122,7 +120,7 @@ def gale_diagram(X: VecSet, basis: list[Dependency]) -> GaleDiagram:
         if len(v) != len(X):
             raise PreconditionError("dependency length mismatch")
         _check_dependency(X, v)
-    if n and column_rank([list(v.coeffs) for v in basis]) != n:
+    if rank([v.coeffs for v in basis]) != n:
         raise PreconditionError("basis is linearly dependent")
     points = []
     for i in X.indices():

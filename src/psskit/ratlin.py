@@ -1,22 +1,22 @@
 """Exact rational linear algebra and linear-feasibility decisions.
 
 Everything here is exact; there is no floating point anywhere, so every
-predicate built on top of this module is an exact dichotomy.  Elimination
-(rank, kernel, linear solve) runs fraction-free over the integers and
-creates a ``fractions.Fraction`` only for the entries it returns.
-Feasibility questions are decided by a phase-I simplex method over
-``Fraction`` with Bland's anti-cycling rule, which makes every answer
-deterministic and returns an explicit certificate that can be re-checked by
-multiplication.
+predicate built on top of this module is an exact dichotomy.  A matrix is
+the sequence of its columns, each a ``QVec`` or a sequence of exact
+rationals.  Elimination (rank, kernel, linear solve) runs fraction-free
+over the integers and creates a ``fractions.Fraction`` only for the
+entries it returns.  Feasibility questions are decided by a phase-I
+simplex method over ``Fraction`` with Bland's anti-cycling rule, which
+makes every answer deterministic and returns an explicit certificate that
+can be re-checked by multiplication.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionMismatchError, ZeroVectorError
-
-Rat = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -84,61 +84,12 @@ class QVec:
 
 
 @dataclass(frozen=True)
-class QMat:
-    """Immutable rational matrix, row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(_to_rat(e) for e in entries)
-        if len(entries) != rows * cols:
-            raise DimensionMismatchError(
-                f"matrix needs {rows * cols} entries, got {len(entries)}"
-            )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def from_rows(cls, rows) -> "QMat":
-        rows = [list(r) for r in rows]
-        m = len(rows)
-        n = len(rows[0]) if rows else 0
-        if any(len(r) != n for r in rows):
-            raise DimensionMismatchError("ragged rows")
-        return cls(m, n, [e for r in rows for e in r])
-
-    @classmethod
-    def from_columns(cls, columns) -> "QMat":
-        columns = [list(c) for c in columns]
-        n = len(columns)
-        m = len(columns[0]) if columns else 0
-        if any(len(c) != m for c in columns):
-            raise DimensionMismatchError("ragged columns")
-        return cls(m, n, [columns[j][i] for i in range(m) for j in range(n)])
-
-    def row(self, i: int) -> list[Fraction]:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def column(self, j: int) -> list[Fraction]:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
-
-    def row_lists(self) -> list[list[Fraction]]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def column_lists(self) -> list[list[Fraction]]:
-        return [self.column(j) for j in range(self.cols)]
-
-
-@dataclass(frozen=True)
 class FeasWitness:
     """Outcome of a feasibility question, with a re-checkable certificate.
 
     Exactly one payload is present:
 
-    * ``coefficients`` -- a nonnegative solution, as a map column index -> Rat
+    * ``coefficients`` -- a nonnegative solution, column index -> Fraction
     * ``separator``    -- a vector z with z.x >= 1 for every input vector
     * neither          -- the instance is infeasible
     """
@@ -233,31 +184,39 @@ def _with_combinations(vectors) -> list[list[int]]:
     return [_primitive([*v, *e]) for v, e in zip(vectors, eye)]
 
 
-def rank(M: QMat) -> int:
-    """Exact rank over the rationals."""
-    return _reduce([_integer_row(r) for r in M.row_lists()], M.cols).count(None)
+def _columns(columns) -> tuple[list[QVec], int]:
+    """The columns as ``QVec``s, and their common length (0 for none).
+
+    The one input check of every entry below: a column of another length
+    raises ``DimensionMismatchError``, an inexact entry ``TypeError``.
+    """
+    cols = [c if isinstance(c, QVec) else QVec(c) for c in columns]
+    m = len(cols[0]) if cols else 0
+    for c in cols:
+        if len(c) != m:
+            raise DimensionMismatchError(f"vectors of lengths {m} and {len(c)}")
+    return cols, m
 
 
-def column_rank(columns) -> int:
-    """Rank of a list of equal-length column vectors (no QMat required)."""
+def rank(columns) -> int:
+    """Exact rank of a sequence of columns over the rationals."""
     # the rank of the transpose: each column is reduced as a row
-    rows = [_integer_row(c) for c in columns]
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise DimensionMismatchError("ragged columns")
-    return _reduce(rows, len(rows[0]) if rows else 0).count(None)
+    cols, m = _columns(columns)
+    return _reduce([_integer_row(c) for c in cols], m).count(None)
 
 
-def kernel_basis(M: QMat) -> list[QVec]:
-    """Basis of the right kernel {v : Mv = 0}.
+def kernel_basis(columns) -> list[QVec]:
+    """Basis of the right kernel {v : sum_j v_j columns[j] = 0}.
 
     Each basis vector is scaled so that its first nonzero entry equals 1,
     and the vectors are ordered by their free column, so the output is a
     canonical function of the input.
     """
+    cols, m = _columns(columns)
     out = []
-    for v in _reduce(_with_combinations(M.column_lists()), M.rows):
+    for v in _reduce(_with_combinations(cols), m):
         if v is not None:  # a free column: the tail is its dependency
-            tail = v[M.rows :]
+            tail = v[m:]
             first = next(x for x in tail if x)
             out.append(QVec(Fraction(x, first) for x in tail))
     return out
@@ -267,16 +226,13 @@ def solve_linear(columns, rhs) -> list[Fraction] | None:
     """One exact solution of ``sum_j x_j columns[j] = rhs`` or None.
 
     Free variables are set to zero, so the answer is deterministic: the
-    reduced right-hand side's tail c gives x_j = -c_j / c_rhs.  A column
-    of another length than rhs raises ``DimensionMismatchError``.
+    reduced right-hand side's tail c gives x_j = -c_j / c_rhs.
     """
-    rhs, columns = list(rhs), list(columns)
-    if any(len(c) != len(rhs) for c in columns):
-        raise DimensionMismatchError(f"rhs has dimension {len(rhs)}, a column does not")
-    v = _reduce(_with_combinations([*columns, rhs]), len(rhs))[-1]
+    cols, m = _columns([*columns, rhs])
+    v = _reduce(_with_combinations(cols), m)[-1]
     if v is None:  # a pivot: rhs lies outside the span of the columns
         return None
-    return [Fraction(-c, v[-1]) for c in v[len(rhs) : -1]]
+    return [Fraction(-c, v[-1]) for c in v[m:-1]]
 
 
 # ----------------------------------------------------------------------
@@ -338,27 +294,25 @@ def _phase_one(rows: list[list[Fraction]], rhs: list[Fraction], n: int):
     return x
 
 
-def solve_nonneg(A: QMat, b: QVec) -> FeasWitness:
-    """Decide whether ``b`` is a nonnegative combination of A's columns.
+def solve_nonneg(columns, b) -> FeasWitness:
+    """Decide whether ``b`` is a nonnegative combination of the columns.
 
     Returns a ``coefficients`` witness (exact, re-checkable) when feasible
     and ``infeasible`` otherwise.  Deterministic for identical inputs.
     """
-    if b.dim != A.rows:
-        raise DimensionMismatchError(
-            f"matrix has {A.rows} rows but rhs has dimension {b.dim}"
-        )
-    x = _phase_one(A.row_lists(), list(b), A.cols)
+    cols, m = _columns([*columns, b])
+    b = cols.pop()
+    rows = [[c.entries[i] for c in cols] for i in range(m)]
+    x = _phase_one(rows, list(b), len(cols))
     if x is None:
         return FeasWitness.infeasible()
-    for i in range(A.rows):
-        acc = sum((x[j] * A.entries[i * A.cols + j] for j in range(A.cols)), _ZERO)
-        if acc != b[i]:
+    for row, bi in zip(rows, b):
+        if sum(map(mul, row, x), _ZERO) != bi:
             raise RuntimeError("simplex returned an invalid certificate")
-    return FeasWitness.coefficients({j: x[j] for j in range(A.cols)})
+    return FeasWitness.coefficients(dict(enumerate(x)))
 
 
-def strict_separator(vectors: list[QVec]) -> FeasWitness:
+def strict_separator(vectors) -> FeasWitness:
     """Find z with z.x >= 1 for every x, or certify there is none.
 
     Since the constraint set is a homogeneous cone, z.x >= 1 for all x is
@@ -366,15 +320,12 @@ def strict_separator(vectors: list[QVec]) -> FeasWitness:
     search is an exact phase-I feasibility problem in z = u - v, u, v >= 0
     with one surplus variable per input vector.
     """
-    vectors = list(vectors)
+    vectors, d = _columns(vectors)
     for i, x in enumerate(vectors):
         if x.is_zero():
             raise ZeroVectorError("zero vector admits no strict separator", index=i)
     if not vectors:
         return FeasWitness.of_separator(QVec.zero(0))
-    d = vectors[0].dim
-    if any(x.dim != d for x in vectors):
-        raise DimensionMismatchError("vectors of different dimensions")
     m = len(vectors)
     rows = [
         list(x) + [-v for v in x] + [-_ONE if k == i else _ZERO for k in range(m)]

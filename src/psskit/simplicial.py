@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import PreconditionError, PropertyViolation
-from .ratlin import QVec, column_rank, solve_linear, solve_nonneg
+from .ratlin import QVec, solve_linear, solve_nonneg
 from .ratlin import _with_combinations
 from .spanset import (
     VecSet,
@@ -167,7 +167,7 @@ def factorization_condition(
 
     def r(mask: int) -> int:
         if mask not in rank_memo:
-            rank_memo[mask] = column_rank(X.columns(_members(mask)))
+            rank_memo[mask] = X.rank(_members(mask))
         return rank_memo[mask]
 
     everything = (1 << n) - 1
@@ -215,7 +215,7 @@ def basis_decomposition(X: VecSet) -> BasisDecomposition:
     # re-check every structural invariant
     if not 1 <= n <= d:
         raise PropertyViolation("simplex count outside [1, d]")
-    if column_rank(X.columns(basis)) != len(basis) or len(basis) != d:
+    if X.rank(basis) != len(basis) or len(basis) != d:
         raise PropertyViolation("union of supports is not a linear basis")
     off = tuple(x for x, _ in pairs)
     if sorted(basis + off) != list(X.indices()):
@@ -292,18 +292,18 @@ def sxy_classify(S: VecSet, y: QVec) -> SwapReport:
         raise PreconditionError("extra vector must be nonzero")
     if S.index_of(y) is not None:
         raise PreconditionError("extra vector already belongs to the simplex")
-    if solve_linear(S.columns(), list(y)) is None:
+    if solve_linear(S.vectors, y) is None:
         raise PreconditionError("extra vector outside the span of the simplex")
 
     exists_swap = any(
-        solve_nonneg(replace_element(S, i, y)[0].matrix(), S[i]).feasible
+        solve_nonneg(replace_element(S, i, y)[0].vectors, S[i]).feasible
         for i in S.indices()
     )
 
     extended = VecSet(S.dim, list(S.vectors) + [y])
     base_rank = S.rank()
     all_full = all(
-        column_rank(extended.columns(r.members)) == base_rank
+        extended.rank(r.members) == base_rank
         for r in enumerate_simplices(extended)
     )
 

@@ -24,9 +24,8 @@ from .errors import (
 )
 from .ratlin import (
     FeasWitness,
-    QMat,
     QVec,
-    column_rank,
+    rank,
     solve_linear,
     solve_nonneg,
     strict_separator,
@@ -76,15 +75,11 @@ class VecSet:
     def indices(self) -> range:
         return range(len(self.vectors))
 
-    def matrix(self, indices=None) -> QMat:
-        idx = list(self.indices() if indices is None else indices)
-        if not idx:
-            return QMat(self.dim, 0, [])
-        return QMat.from_columns([list(self.vectors[i]) for i in idx])
-
-    def columns(self, indices=None) -> list[list[Fraction]]:
-        idx = self.indices() if indices is None else indices
-        return [list(self.vectors[i]) for i in idx]
+    def matrix(self, indices=None) -> tuple[QVec, ...]:
+        """The vectors at ``indices`` (all by default): a matrix's columns."""
+        if indices is None:
+            return self.vectors
+        return tuple(self.vectors[i] for i in indices)
 
     def subset(self, indices) -> "VecSet":
         idx = list(indices)
@@ -101,7 +96,7 @@ class VecSet:
     def rank(self, indices=None) -> int:
         if indices is None:
             return _full_rank(self)
-        return column_rank(self.columns(indices))
+        return rank(self.matrix(indices))
 
 
 def _memoized(fn):
@@ -134,7 +129,7 @@ def _members(mask: int) -> tuple[int, ...]:
 
 @_memoized
 def _full_rank(X: VecSet) -> int:
-    return column_rank(X.columns())
+    return rank(X.vectors)
 
 
 @dataclass(frozen=True)
@@ -170,7 +165,7 @@ def linearly_dependent(X: VecSet) -> DependenceReport:
         return DependenceReport(False)
     for i in X.indices():
         rest = [j for j in X.indices() if j != i]
-        sol = solve_linear(X.columns(rest), list(X[i]))
+        sol = solve_linear(X.matrix(rest), X[i])
         if sol is not None:
             coeffs = {j: sol[k] for k, j in enumerate(rest)}
             return DependenceReport(True, i, coeffs)
@@ -201,7 +196,9 @@ def negatively_independent(X: VecSet) -> FeasWitness:
     ``infeasible`` (an equivalent certificate is a minimal positively
     dependent subset, exposed by the simplicial module).
     """
-    return strict_separator(list(X.vectors))
+    if not X.vectors:  # no constraint: the zero vector of the space separates
+        return FeasWitness.of_separator(QVec.zero(X.dim))
+    return strict_separator(X.vectors)
 
 
 @_memoized
@@ -214,7 +211,7 @@ def is_pss(X: VecSet) -> bool:
     linear hull of X, not to the full ambient space; full-dimensionality
     is a separate rank check.
     """
-    return solve_nonneg(X.matrix(), -sum(X, QVec.zero(X.dim))).feasible
+    return solve_nonneg(X.vectors, -sum(X, QVec.zero(X.dim))).feasible
 
 
 def is_positive_basis(X: VecSet) -> bool:
@@ -235,13 +232,13 @@ def caratheodory_reduce(x: QVec, X: VecSet) -> SpanPoint:
     the rewrite.  Positivity and independence are re-checked.  The zero
     vector gets the empty representation.
     """
-    res = solve_nonneg(X.matrix(), x)
+    res = solve_nonneg(X.vectors, x)
     if not res.feasible:
         raise PreconditionError("point is not in the positive span of the set")
     coeffs = {i: c for i, c in res.coeffs.items() if c != 0}
     if any(c < 0 for c in coeffs.values()):
         raise RuntimeError("basic solution has a negative coefficient")
-    if column_rank(X.columns(sorted(coeffs))) != len(coeffs):
+    if X.rank(sorted(coeffs)) != len(coeffs):
         raise RuntimeError("basic solution has a dependent support")
     return SpanPoint(x, coeffs)
 
@@ -313,7 +310,7 @@ def skeleton_contains(p: QVec, X: VecSet) -> bool:
 
 def core_contains(p: QVec, X: VecSet) -> bool:
     """Membership in the positive span but outside the skeleton."""
-    if not solve_nonneg(X.matrix(), p).feasible:
+    if not solve_nonneg(X.vectors, p).feasible:
         return False
     return not skeleton_contains(p, X)
 
@@ -326,7 +323,7 @@ def in_rint_positive_span(p: QVec, B: VecSet) -> bool:
     """
     if B.rank() != len(B):
         raise PreconditionError("base set is linearly dependent")
-    sol = solve_linear(B.columns(), list(p))
+    sol = solve_linear(B.vectors, p)
     if sol is None:
         raise PreconditionError("point lies outside the linear span of the base set")
     return all(c > 0 for c in sol)

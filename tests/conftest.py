@@ -95,7 +95,7 @@ def oracle_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[
     return rows, pivots
 
 
-def oracle_column_rank(columns) -> int:
+def oracle_rref_rank(columns) -> int:
     columns = [[Fraction(x) for x in c] for c in columns]
     if not columns:
         return 0
@@ -108,17 +108,17 @@ def oracle_proper_flats(X: VecSet) -> list[tuple[int, ...]]:
     test: the walk ``spanset`` used before it walked an incremental integer
     echelon and kept only the hyperplane flats."""
     n = len(X)
-    r = oracle_column_rank(X.columns())
+    r = oracle_rref_rank(X.matrix())
     closures: set[tuple[int, ...]] = set()
 
     def close(indices: tuple[int, ...]) -> tuple[int, ...]:
         if not indices:
             return ()
-        cols = X.columns(indices)
+        cols = X.matrix(indices)
         base_rank = len(indices)
         members = []
         for j in range(n):
-            if j in indices or oracle_column_rank(cols + [list(X[j])]) == base_rank:
+            if j in indices or oracle_rref_rank([*cols, X[j]]) == base_rank:
                 members.append(j)
         return tuple(members)
 
@@ -128,7 +128,7 @@ def oracle_proper_flats(X: VecSet) -> list[tuple[int, ...]]:
             return
         for j in range(start, n):
             cand = current + (j,)
-            if oracle_column_rank(X.columns(cand)) == len(cand):
+            if oracle_rref_rank(X.matrix(cand)) == len(cand):
                 walk(cand, j + 1)
 
     walk((), 0)
@@ -143,7 +143,7 @@ def oracle_enumerate_simplices(X: VecSet) -> list:
 
     n = len(X)
     found = []
-    for k in range(2, min(n, oracle_column_rank(X.columns()) + 1) + 1):
+    for k in range(2, min(n, oracle_rref_rank(X.matrix()) + 1) + 1):
         for sub in combinations(range(n), k):
             kern = kernel_basis(X.matrix(sub))
             if len(kern) == 1 and all(c > 0 for c in kern[0]):
@@ -304,7 +304,7 @@ def oracle_factorization_scan(X: VecSet) -> tuple[bool, tuple[int, ...] | None]:
     simplices = [frozenset(s.members) for s in enumerate_simplices(X)]
 
     def r(indices) -> int:
-        return oracle_column_rank(X.columns(sorted(indices)))
+        return oracle_rref_rank(X.matrix(sorted(indices)))
 
     n = len(X)
     for k in range(n + 1):
@@ -389,7 +389,7 @@ def brute_force_membership(p: QVec, X: VecSet, support_limit=None) -> bool:
     n = len(X)
     for k in range(1, limit + 1):
         for sub in combinations(range(n), k):
-            sol = solve_linear(X.columns(sub), list(p))
+            sol = solve_linear(X.matrix(sub), p)
             if sol is not None and all(c >= 0 for c in sol):
                 return True
     return False

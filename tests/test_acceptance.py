@@ -64,7 +64,7 @@ from psskit.genlib import (
     polygon_example,
     random_positive_basis,
 )
-from psskit.ratlin import column_rank, solve_nonneg, strict_separator
+from psskit.ratlin import rank, solve_nonneg, strict_separator
 
 from conftest import brute_force_membership
 
@@ -133,7 +133,7 @@ def _witness_rebuilds(X: VecSet, rep) -> bool:
 def _breaks_rank_identity(X: VecSet, Y, S) -> bool:
     """rank(Y&S) + rank(Y|S) != rank(Y) + rank(S), i.e. l(Y)&l(S) != l(Y&S)."""
     Y, S = frozenset(Y), frozenset(S)
-    r = lambda t: column_rank(X.columns(sorted(t)))
+    r = lambda t: rank(X.matrix(sorted(t)))
     return r(Y & S) + r(Y | S) != r(Y) + r(S)
 
 
@@ -488,7 +488,7 @@ def test_criterion_08_low_overlap_family_bound():
         for a in range(len(fam)):
             for b in range(a + 1, len(fam)):
                 common = sorted(fam[a].member_set() & fam[b].member_set())
-                if column_rank(X.columns(common)) >= X.dim:
+                if rank(X.matrix(common)) >= X.dim:
                     failures.append("kept frames overlap at full rank")
     for X in equality_instances:
         fam = max_disjoint_family(X)
@@ -505,7 +505,7 @@ def test_criterion_08_low_overlap_family_bound():
         for a in range(len(frames)):
             for b in range(a + 1, len(frames)):
                 common = sorted(frames[a].member_set() & frames[b].member_set())
-                compatible[(a, b)] = column_rank(X.columns(common)) < X.dim
+                compatible[(a, b)] = rank(X.matrix(common)) < X.dim
         best = 0
         for mask in range(1 << len(frames)):
             chosen = [k for k in range(len(frames)) if mask >> k & 1]
@@ -542,7 +542,7 @@ def test_criterion_09_gale_point_classes():
             failures.append(f"nonnegative basis size {len(basis)} != {expected}")
         if any(not v.is_nonnegative() for v in basis):
             failures.append("nonnegative basis carries a negative entry")
-        if basis and column_rank([list(v.coeffs) for v in basis]) != len(basis):
+        if basis and rank([v.coeffs for v in basis]) != len(basis):
             failures.append("nonnegative basis is linearly dependent")
         for v in basis:
             acc = QVec.zero(X.dim)
@@ -601,7 +601,7 @@ def test_criterion_10_supporting_lemma_suites():
                     if fs not in member_sets:
                         failures.append("forward direction missed a frame")
         for f in frames:
-            if column_rank(X.columns(f.members)) != X.rank():
+            if rank(X.matrix(f.members)) != X.rank():
                 failures.append("a maximal frame does not span the hull")
 
     # the doubled simplex: the converse genuinely fails there

@@ -26,7 +26,7 @@ from psskit.genlib import (
     polygon_example,
     random_positive_basis,
 )
-from psskit.ratlin import FeasWitness, QVec, column_rank, solve_nonneg, strict_separator
+from psskit.ratlin import FeasWitness, QVec, rank, solve_nonneg, strict_separator
 from psskit.spanset import (
     extract_positive_basis,
     is_pss,
@@ -325,7 +325,7 @@ class TestMaxDisjointFamily:
                     common = sorted(
                         frames[a].member_set() & frames[b].member_set()
                     )
-                    compatible[(a, b)] = column_rank(X.columns(common)) < d
+                    compatible[(a, b)] = rank(X.matrix(common)) < d
             best = 0
             for mask in range(1 << len(frames)):
                 chosen = [k for k in range(len(frames)) if mask >> k & 1]
@@ -406,7 +406,7 @@ class TestFrameLemmas:
     def test_frames_span_full_rank(self, d, seed):
         X = random_positive_basis(d, seed % d + 1, seed)
         for f in enumerate_mns(X):
-            assert column_rank(X.columns(f.members)) == d
+            assert rank(X.matrix(f.members)) == d
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 40))

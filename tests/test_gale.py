@@ -20,11 +20,11 @@ from psskit import (
 from psskit.errors import PreconditionError
 from psskit.gale import Dependency, simplex_dependency
 from psskit.genlib import example_x9, make_cross, make_simplex, random_positive_basis
-from psskit.ratlin import column_rank, solve_nonneg, QMat
+from psskit.ratlin import rank, solve_nonneg
 from psskit.simplicial import enumerate_simplices
 from psskit.suite import _check_gale_basis
 
-from conftest import oracle_column_rank
+from conftest import oracle_rref_rank
 
 F = Fraction
 
@@ -75,7 +75,7 @@ class TestNonnegBasis:
         for v in basis:
             assert v.is_nonnegative()
             check_is_dependency(X, v)
-        assert column_rank([list(v.coeffs) for v in basis]) == 4
+        assert rank([v.coeffs for v in basis]) == 4
 
     def test_rejects_non_pss(self):
         with pytest.raises(PreconditionError):
@@ -91,7 +91,7 @@ class TestNonnegBasis:
             assert v.is_nonnegative()
             check_is_dependency(X, v)
         if basis:
-            assert column_rank([list(v.coeffs) for v in basis]) == len(basis)
+            assert rank([v.coeffs for v in basis]) == len(basis)
 
 
 def _gale_pool():
@@ -118,7 +118,7 @@ def _first_independent_run(X, rows):
     for row in rows:
         if len(kept) == len(X) - X.rank():
             break
-        if oracle_column_rank(kept + [row]) == len(kept) + 1:
+        if oracle_rref_rank(kept + [row]) == len(kept) + 1:
             kept.append(row)
     return kept
 
@@ -253,7 +253,6 @@ class TestGaleTheorem:
                 [F(1) if i in s.dependency else F(0) for i in X.indices()]
                 for s in enumerate_simplices(X)
             ]
-            M = QMat.from_columns(chi)
             for v in nonneg_dependency_basis(X):
-                res = solve_nonneg(M, QVec(v.coeffs))
+                res = solve_nonneg(chi, v.coeffs)
                 assert res.kind == "coefficients"

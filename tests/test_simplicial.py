@@ -27,7 +27,7 @@ from psskit.genlib import (
     make_simplex,
     random_positive_basis,
 )
-from psskit.ratlin import column_rank
+from psskit.ratlin import rank
 
 from conftest import (
     count_lp_calls,
@@ -94,7 +94,7 @@ class TestEnumerate:
     @given(vecsets(max_dim=3, max_size=6))
     def test_cardinality_is_rank_plus_one(self, X):
         for s in enumerate_simplices(X):
-            r = column_rank(X.columns(s.members))
+            r = rank(X.matrix(s.members))
             assert len(s.members) == r + 1 <= X.dim + 1
 
     @settings(max_examples=30, deadline=None)
@@ -216,7 +216,7 @@ class TestFactorization:
         Y = set(report.witness_subset)
         S = set(report.witness_simplex.members)
         X = example_x9()
-        r = lambda idx: column_rank(X.columns(sorted(idx)))
+        r = lambda idx: rank(X.matrix(sorted(idx)))
         assert r(Y & S) + r(Y | S) != r(Y) + r(S)
         # the spanning-subset variant fails too
         assert not factorization_condition(example_x9(), spanning_only=True).ok

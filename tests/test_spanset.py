@@ -39,7 +39,7 @@ from conftest import (
     brute_force_membership,
     count_lp_calls,
     invertible_maps,
-    oracle_column_rank,
+    oracle_rref_rank,
     oracle_extract_positive_basis,
     oracle_is_pss,
     oracle_proper_flats,
@@ -126,6 +126,11 @@ class TestNegativeIndependence:
 
     def test_quadruple(self):
         assert negatively_independent(QUAD).kind == "separator"
+
+    def test_empty_set_separator_lives_in_the_space(self):
+        res = negatively_independent(VecSet(3, []))
+        assert res.kind == "separator"
+        assert res.separator == QVec.zero(3)
 
 
 class TestPss:
@@ -271,12 +276,12 @@ class TestSkeletonOracle:
         # unpruned reference: scan every subset with a proper linear span
         from itertools import combinations
 
-        from psskit.ratlin import column_rank, solve_nonneg
+        from psskit.ratlin import rank, solve_nonneg
 
         n, r = len(X), X.rank()
         for k in range(n + 1):
             for sub in combinations(range(n), k):
-                if column_rank(X.columns(sub)) >= r:
+                if rank(X.matrix(sub)) >= r:
                     continue
                 if solve_nonneg(X.matrix(sub), p).feasible:
                     return True
@@ -343,7 +348,7 @@ class TestProperFlatsOracle:
                 c
                 for k in range(X.rank() + 1)
                 for c in combinations(X.indices(), k)
-                if oracle_column_rank(X.columns(c)) == k
+                if oracle_rref_rank(X.matrix(c)) == k
             ]
             assert seen == sorted(want)  # depth first, lexicographic
 
