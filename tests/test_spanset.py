@@ -60,6 +60,11 @@ class TestConstruction:
         with pytest.raises(ZeroVectorError):
             VecSet(2, [[1, 0], [0, 0]])
 
+    def test_string_vectors_rejected(self):
+        # a string is one rational entry: "12" is not the vector (1, 2)
+        with pytest.raises(TypeError):
+            VecSet(2, ["12", "34"])
+
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateVectorError):
             VecSet(2, [[1, 0], [1, 0]])
