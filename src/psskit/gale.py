@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, PropertyViolation
-from .ratlin import QVec, kernel_basis, rank, _integer_row, _reduce
+from .ratlin import QVec, kernel_basis, rank, _dot, _integer_row, _reduce
 from .simplicial import Simplex, enumerate_simplices
 from .spanset import VecSet, _mask, is_pss
 
@@ -50,9 +50,19 @@ class GaleDiagram:
     points: tuple[QVec, ...]
 
 
+def _is_dependency(X: VecSet, v) -> bool:
+    """Whether the coefficients v weight the vectors of X to zero."""
+    return not any(_dot(row, v) for row in zip(*X.vectors))
+
+
 def _check_dependency(X: VecSet, v) -> None:
-    if not sum((X[i].scale(v[i]) for i in X.indices()), QVec.zero(X.dim)).is_zero():
+    if not _is_dependency(X, v):
         raise PropertyViolation("coefficients do not form a dependency")
+
+
+def _indicator(X: VecSet, s: Simplex) -> list[Fraction]:
+    """The coefficients 1 on the members of s and 0 elsewhere."""
+    return [_ONE if i in s else _ZERO for i in X.indices()]
 
 
 def dependency_basis(X: VecSet) -> list[Dependency]:
@@ -101,10 +111,7 @@ def nonneg_dependency_basis(X: VecSet) -> list[Dependency]:
 
 def is_locally_equilibrated(X: VecSet) -> bool:
     """Whether the members of every simplex sum exactly to zero."""
-    return all(
-        sum((X[i] for i in s.members), QVec.zero(X.dim)).is_zero()
-        for s in enumerate_simplices(X)
-    )
+    return all(_is_dependency(X, _indicator(X, s)) for s in enumerate_simplices(X))
 
 
 def gale_diagram(X: VecSet, basis: list[Dependency]) -> GaleDiagram:
@@ -141,11 +148,7 @@ def characteristic_basis(X: VecSet) -> list[Dependency]:
         raise PreconditionError("set does not positively span its hull")
     if not is_locally_equilibrated(X):
         raise PreconditionError("set is not locally equilibrated")
-    return _first_independent(
-        X,
-        lambda s: [_ONE if i in s else _ZERO for i in X.indices()],
-        "indicator functions",
-    )
+    return _first_independent(X, lambda s: _indicator(X, s), "indicator functions")
 
 
 @dataclass(frozen=True)

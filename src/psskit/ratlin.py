@@ -6,15 +6,18 @@ the sequence of its columns, each a ``QVec`` or a sequence of exact
 rationals.  Elimination (rank, kernel, linear solve) runs fraction-free
 over the integers and creates a ``fractions.Fraction`` only for the
 entries it returns.  Feasibility questions are decided by a phase-I
-simplex method over ``Fraction`` with Bland's anti-cycling rule, which
-makes every answer deterministic and returns an explicit certificate that
-can be re-checked by multiplication.
+simplex method with Bland's anti-cycling rule, which makes every answer
+deterministic and returns an explicit certificate that can be re-checked
+by multiplication.  ``Fraction`` arithmetic remains only in its pivots
+(the ratio test and the row updates): the simplex's initial cost row,
+every dot product and every certificate re-check is one ``_dot``, which
+adds the products over a common denominator in plain ints and makes one
+``Fraction`` at the end.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 from .errors import DimensionMismatchError, ZeroVectorError
 
@@ -25,11 +28,36 @@ _ONE = Fraction(1)
 def _to_rat(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError("expected an exact rational, got bool")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _dot(xs, ys) -> Fraction:
+    """``sum(x * y for x, y in zip(xs, ys, strict=True))``, exactly.
+
+    The entries are exact rationals (``Fraction`` or ``int``).  The products
+    are added over one common denominator in plain ints, and one normalised
+    ``Fraction`` is made at the end, so the value equals the ``Fraction``
+    sum without a ``Fraction`` and a gcd per term.  Unequal lengths raise
+    ``ValueError``.
+    """
+    num, den = 0, 1
+    for x, y in zip(xs, ys, strict=True):
+        n = x.numerator * y.numerator
+        if n:
+            d = x.denominator * y.denominator
+            if den % d:
+                g = gcd(den, d)
+                num = num * (d // g) + n * (den // g)
+                den = den // g * d
+            else:
+                num += n * (den // d)
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,9 +108,7 @@ class QVec:
         return QVec(c * a for a in self.entries)
 
     def dot(self, other: "QVec") -> Fraction:
-        return sum(
-            (a * b for a, b in zip(self.entries, other.entries, strict=True)), _ZERO
-        )
+        return _dot(self.entries, other.entries)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
@@ -268,7 +294,8 @@ def _phase_one(rows: list[list[Fraction]], rhs: list[Fraction], n: int):
         for row, b in zip(rows, rhs)
     ]
     m = len(T)
-    T.append([-sum(col) for col in zip(*T)] if T else [_ZERO] * (n + 1))
+    minus = (-1,) * m
+    T.append([_dot(col, minus) for col in zip(*T)] if T else [_ZERO] * (n + 1))
     basis = list(range(n, n + m))
     while (enter := next((j for j in range(n) if T[m][j] < 0), None)) is not None:
         leave = None
@@ -321,7 +348,7 @@ def solve_nonneg(columns, b) -> FeasWitness:
     if x is None:
         return FeasWitness.infeasible()
     for row, bi in zip(rows, b):
-        if sum(map(mul, row, x), _ZERO) != bi:
+        if _dot(row, x) != bi:
             raise RuntimeError("simplex returned an invalid certificate")
     return FeasWitness.coefficients(dict(enumerate(x)))
 

@@ -3,12 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psskit import QVec, kernel_basis, rank, solve_nonneg, strict_separator
+from psskit import QVec, kernel_basis, rank, ratlin, solve_nonneg, strict_separator
 from psskit.errors import DimensionMismatchError, ZeroVectorError
-from psskit.ratlin import _phase_one, _reduce, _with_combinations, solve_linear
+from psskit.ratlin import _dot, _phase_one, _reduce, _with_combinations, solve_linear
 
 from conftest import (
     brute_force_nonneg_zero_combo,
@@ -321,6 +321,65 @@ class TestQVecEntries:
         with pytest.raises(TypeError):
             QVec(entries)
 
+    @pytest.mark.parametrize("entries", [[True, 2], (F(1), False)])
+    def test_bool_is_not_a_rational(self, entries):
+        with pytest.raises(TypeError):
+            QVec(entries)
+
+
+class TestDot:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.one_of(_entries, st.integers(-(2**16), 2**16)), _entries),
+            max_size=8,
+        )
+    )
+    @example([])
+    @example([(F(1, 4), 1), (F(-1, 6), F(-1))])  # 1/4 + 1/6 = 5/12, over lcm 12
+    @example([(F(1, 6), F(3, 2)), (F(1, 3), F(3, 4))])  # 3/12 + 3/12 = 1/2
+    def test_equals_the_fraction_sum(self, pairs):
+        got = _dot([x for x, _ in pairs], [y for _, y in pairs])
+        want = sum((x * y for x, y in pairs), F(0))
+        assert type(got) is F
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(_entries, max_size=6), _entries)
+    def test_length_mismatch_raises(self, xs, extra):
+        with pytest.raises(ValueError):
+            _dot(xs, [*xs, extra])
+        with pytest.raises(ValueError):
+            _dot([*xs, extra], xs)
+        with pytest.raises(ValueError):
+            QVec(xs).dot(QVec([*xs, extra]))
+
+
+class TestCertificateRechecks:
+    """A wrong phase-I solution is caught by the re-check by multiplication."""
+
+    @staticmethod
+    def _perturb(monkeypatch, delta):
+        exact = ratlin._phase_one
+
+        def perturbed(rows, rhs, n):
+            x = exact(rows, rhs, n)
+            return [x[0] + delta, *x[1:]]
+
+        monkeypatch.setattr(ratlin, "_phase_one", perturbed)
+
+    def test_solve_nonneg(self, monkeypatch):
+        assert solve_nonneg([[1, 0], [0, 1]], [1, 1]).kind == "coefficients"
+        self._perturb(monkeypatch, F(1))
+        with pytest.raises(RuntimeError, match="^simplex returned an invalid certificate$"):
+            solve_nonneg([[1, 0], [0, 1]], [1, 1])
+
+    def test_strict_separator(self, monkeypatch):
+        assert strict_separator([[1, 0], [0, 1]]).separator == QVec([1, 1])
+        self._perturb(monkeypatch, F(-1, 2))
+        with pytest.raises(RuntimeError, match="^simplex returned an invalid separator$"):
+            strict_separator([[1, 0], [0, 1]])
+
 
 class TestStrictSeparator:
     def test_positive_quadrant(self):
@@ -373,6 +432,7 @@ _BAD_COLUMNS = [
     ("short-last", [[1, 0], [1]], DimensionMismatchError),
     ("float", [[1, 0], [0.5, 1]], TypeError),
     ("str", [[1, 0], "11"], TypeError),
+    ("bool", [[True, False], [False, True]], TypeError),
 ]
 _BAD_RHS = [
     ("rhs-short", [1], DimensionMismatchError),
