@@ -365,8 +365,6 @@ def strict_separator(vectors) -> FeasWitness:
     for i, x in enumerate(vectors):
         if x.is_zero():
             raise ZeroVectorError("zero vector admits no strict separator", index=i)
-    if not vectors:
-        return FeasWitness.of_separator(QVec.zero(0))
     m = len(vectors)
     rows = [
         list(x) + [-v for v in x] + [-_ONE if k == i else _ZERO for k in range(m)]

@@ -29,8 +29,9 @@ from .ratlin import (
     solve_linear,
     solve_nonneg,
     strict_separator,
+    _dot,
     _eliminate,
-    _primitive,
+    _with_combinations,
 )
 
 
@@ -76,16 +77,20 @@ class VecSet:
         return range(len(self.vectors))
 
     def matrix(self, indices=None) -> tuple[QVec, ...]:
-        """The vectors at ``indices`` (all by default): a matrix's columns."""
+        """The vectors at ``indices`` (all by default): a matrix's columns.
+        An index not an int in ``range(len(self))`` raises PreconditionError."""
         if indices is None:
             return self.vectors
+        for i in (indices := tuple(indices)):
+            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < len(self):
+                raise PreconditionError(f"index {i!r} not present")
         return tuple(self.vectors[i] for i in indices)
 
     def subset(self, indices) -> "VecSet":
         idx = list(indices)
         if idx == list(self.indices()):
             return self  # the same set, sharing its memo
-        return VecSet(self.dim, [self.vectors[i] for i in idx])
+        return VecSet(self.dim, self.matrix(idx))
 
     def index_of(self, v: QVec) -> int | None:
         for i, w in enumerate(self.vectors):
@@ -254,7 +259,8 @@ def _independent_walk(X: VecSet, rows, size: int, visit, members=()) -> None:
     ``rows`` holds one integer row per vector, its first ``X.dim`` entries
     the vector, reduced against an echelon form of ``members`` (none at the
     top call); these residuals are what ``visit`` gets.  A residual with a
-    nonzero head extends the set, a zero one lies in its span.  The walk
+    nonzero head extends the set, a zero one lies in its span.  Rows past
+    ``len(X)`` are reduced alike but never chosen as members.  The walk
     recurses through this module-level function, not a closure, so a
     finished walk leaves no reference cycle behind.
     """
@@ -269,43 +275,38 @@ def _independent_walk(X: VecSet, rows, size: int, visit, members=()) -> None:
             _independent_walk(X, reduced, size, visit, members + (j,))
 
 
-def _hyperplane_flats(X: VecSet) -> list[tuple[int, ...]]:
-    """The closures of the independent (r-1)-subsets of X, r = rank(X).
-
-    These are the inclusion-maximal proper flats: every subset with a
-    proper linear span extends, through a linear basis of it, to an
-    independent (r-1)-subset whose closure contains it.  The closure of a
-    subset is read off the walk's zero residuals.
-    """
-    r = X.rank()
-    closures: set[tuple[int, ...]] = set()
-
-    def visit(members, residuals):
-        if len(members) == r - 1:
-            closures.add(tuple(j for j, v in enumerate(residuals) if not any(v)))
-
-    _independent_walk(X, [_primitive(v) for v in X], r - 1, visit)
-    return sorted(closures, key=lambda t: (len(t), t))
-
-
 def skeleton_contains(p: QVec, X: VecSet) -> bool:
     """Membership of p in some positive span over a proper-span subset.
 
-    Only the hyperplane flats need an LP: every proper-span subset lies in
-    one of them, and positive-span membership is monotone in the subset.
+    By conic Carathéodory such a p lies in the positive span of an
+    independent set of at most rank(X) - 1 members, with unique
+    coefficients there.  One walk to that depth reduces p's row, put last;
+    where its head is zero, its tail t gives p = -sum(t_i / t_p x_i),
+    and p is in the skeleton iff t_i t_p <= 0 on every member of some such
+    set.  The first such certificate is re-checked by multiplication.
     """
     if p.dim != X.dim:
         raise DimensionMismatchError("point dimension mismatch")
-    if X.rank() == 0:
+    if (r := X.rank()) == 0:
         return False
-    for flat in _hyperplane_flats(X):
-        if not flat:
-            if p.is_zero():
-                return True
-            continue
-        if solve_nonneg(X.matrix(flat), p).feasible:
-            return True
-    return False
+    d = X.dim
+    found: list[dict[int, Fraction]] = []
+
+    def visit(members, residuals):
+        t = residuals[-1]  # p's row: t[-1] is its own tail entry
+        if not found and not any(t[:d]) and all(t[d + i] * t[-1] <= 0 for i in members):
+            found.append({i: Fraction(-t[d + i], t[-1]) for i in members})
+
+    _independent_walk(X, _with_combinations([*X, p]), r - 1, visit)
+    if not found:
+        return False
+    coeffs = found[0]
+    vectors = X.matrix(coeffs)
+    if any(c < 0 for c in coeffs.values()) or any(
+        _dot([x[k] for x in vectors], coeffs.values()) != p[k] for k in range(d)
+    ):
+        raise RuntimeError("skeleton certificate does not rebuild the point")
+    return True
 
 
 def core_contains(p: QVec, X: VecSet) -> bool:

@@ -200,8 +200,9 @@ def oracle_is_pss(X: VecSet) -> bool:
 
 def oracle_skeleton_contains(p: QVec, X: VecSet) -> bool:
     """Skeleton membership with one LP per proper flat of every rank, as
-    ``spanset.skeleton_contains`` decided it before it kept only the
-    hyperplane flats."""
+    ``spanset.skeleton_contains`` decided it before it read the answer off
+    the independent-set walk with no LP: p lies in the positive span of
+    some proper-span subset, and so of the flat that subset spans."""
     if X.rank() == 0:
         return False
     return any(

@@ -400,6 +400,11 @@ class TestStrictSeparator:
         with pytest.raises(ZeroVectorError):
             strict_separator([QVec([1, 0]), QVec([0, 0])])
 
+    def test_no_vectors(self):
+        # phase I on no rows is feasible at once: the separator of R^0
+        res = strict_separator([])
+        assert (res.kind, res.separator) == ("separator", QVec([]))
+
     @settings(max_examples=50, deadline=None)
     @given(vecsets(max_dim=3, max_size=5))
     def test_infeasible_iff_positive_zero_combination(self, X):

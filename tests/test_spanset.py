@@ -28,9 +28,16 @@ from psskit.errors import (
     PreconditionError,
     ZeroVectorError,
 )
-from psskit.ratlin import FeasWitness, _primitive, _with_combinations, strict_separator
+from psskit.ratlin import (
+    FeasWitness,
+    _dot,
+    _primitive,
+    _with_combinations,
+    solve_linear,
+    strict_separator,
+)
 from psskit.conical import enumerate_mns
-from psskit.simplicial import enumerate_simplices
+from psskit.simplicial import enumerate_simplices, sxy_classify
 from psskit import spanset
 from psskit.genlib import example_x9, make_cross, polygon_example, random_positive_basis
 
@@ -42,7 +49,6 @@ from conftest import (
     oracle_rref_rank,
     oracle_extract_positive_basis,
     oracle_is_pss,
-    oracle_proper_flats,
     oracle_skeleton_contains,
     positive_rats,
     vecsets,
@@ -77,6 +83,19 @@ class TestConstruction:
     def test_dimension_must_be_a_positive_int(self, dim, vectors):
         with pytest.raises(DimensionMismatchError):
             VecSet(dim, vectors)
+
+    # an index outside range(len(X)) must not wrap around or leak IndexError
+    def test_subset_rejects_a_negative_index(self):
+        with pytest.raises(PreconditionError, match=r"^index -1 not present$"):
+            CROSS2.subset([-1])
+
+    def test_rank_rejects_a_negative_index(self):
+        with pytest.raises(PreconditionError, match=r"^index -1 not present$"):
+            CROSS2.rank([-1, 0])
+
+    def test_matrix_rejects_an_index_past_the_end(self):
+        with pytest.raises(PreconditionError, match=r"^index 5 not present$"):
+            CROSS2.matrix([5])
 
 
 class TestLinearDependence:
@@ -250,6 +269,11 @@ class TestSkeletonCore:
     def test_core_excludes_rays(self):
         assert not core_contains(QVec([1, 0]), SIMPLEX2)
 
+    def test_certificate_that_does_not_rebuild_the_point_raises(self, monkeypatch):
+        monkeypatch.setattr(spanset, "_dot", lambda xs, ys: _dot(xs, ys) + 1)
+        with pytest.raises(RuntimeError, match="^skeleton certificate does not rebuild the point$"):
+            skeleton_contains(QVec([1, 0]), SIMPLEX2)
+
     def test_negative_diagonal_lies_on_a_ray(self):
         # (-5,-5) is a positive multiple of the member (-1,-1), hence in
         # the skeleton (the positive span of a single vector has a proper
@@ -331,15 +355,21 @@ def _seeded_sets():
     return out
 
 
-def _maximal(flats):
-    return [f for f in flats if not any(set(f) < set(g) for g in flats)]
-
-
 class TestProperFlatsOracle:
     @pytest.mark.parametrize("X", _seeded_sets(), ids=lambda X: f"d{X.dim}n{len(X)}r{X.rank()}")
-    def test_echelon_walk_matches_rank_walk(self, X):
-        # the walk keeps the hyperplane flats: the inclusion-maximal ones
-        assert spanset._hyperplane_flats(X) == _maximal(oracle_proper_flats(X))
+    def test_echelon_walk_matches_rank_walk(self, X, monkeypatch):
+        # skeleton membership read off the echelon walk, with no LP, against
+        # one LP per proper flat of the rank walk
+        rng = random.Random(repr(X))
+        members = rng.sample(range(len(X)), X.rank() - 1)
+        on_flat = sum((X[i].scale(rng.randint(1, 3)) for i in members), QVec.zero(X.dim))
+        generic = sum((v.scale(rng.randint(-2, 3)) for v in X), QVec.zero(X.dim))
+        points = (on_flat, -on_flat, generic, QVec.zero(X.dim))
+        calls = count_lp_calls(monkeypatch, names=("_phase_one",))
+        answers = [skeleton_contains(p, X) for p in points]
+        assert calls == []
+        assert answers[0] and answers[-1]
+        assert answers == [oracle_skeleton_contains(p, X) for p in points]
 
     @pytest.mark.parametrize("rows", ["plain", "with combinations"])
     def test_walk_visits_exactly_the_independent_sets(self, rows):
@@ -415,6 +445,45 @@ class TestOneLpOracles:
         answers = [skeleton_contains(p, X) for X, p in self.POOL]
         assert answers == [oracle_skeleton_contains(p, X) for X, p in self.POOL]
         assert True in answers and False in answers
+
+    def test_skeleton_asks_no_lp(self, monkeypatch):
+        calls = count_lp_calls(monkeypatch)
+        for X, p in self.POOL:
+            skeleton_contains(p, X)
+        assert calls == []
+
+    def test_core_asks_exactly_one_lp(self, monkeypatch):
+        calls = count_lp_calls(monkeypatch)
+        for X, p in self.POOL:
+            calls.clear()
+            core_contains(p, X)
+            assert len(calls) == 1
+
+    def test_swap_classification_asks_only_the_swap_lps(self, monkeypatch):
+        # the swap flag asks one LP per member until one is feasible: |S|
+        # when no swap exists; the skeleton flag asks none
+        points: dict[VecSet, list[QVec]] = {}
+        for X, p in self.POOL:
+            points.setdefault(X, []).append(p)
+        cases = [
+            (S, y)
+            for X, ps in points.items()
+            for S in [X.subset(s.members) for s in enumerate_simplices(X)[:1]]
+            for y in [*(-v for v in S), *X, *ps]
+            if not y.is_zero()
+            and S.index_of(y) is None
+            and solve_linear(S.vectors, y) is not None
+        ]
+        calls = count_lp_calls(monkeypatch)
+        no_swap = 0
+        for S, y in cases:
+            calls.clear()
+            report = sxy_classify(S, y)
+            feasible = [k for k, res in enumerate(calls) if res.feasible]
+            assert len(calls) == (feasible[0] + 1 if feasible else len(S))
+            assert report.exists_swap == bool(feasible)
+            no_swap += not feasible
+        assert len(cases) > 100 and no_swap > 50
 
     def test_pool_covers_dimensions_kinds_and_zero_points(self):
         assert {X.dim for X, _ in self.POOL} == {2, 3, 4, 5, 6}
