@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, PropertyViolation
-from .ratlin import QVec
+from .ratlin import QVec, _to_rat
 from .spanset import VecSet, is_positive_basis
 
 _ONE = Fraction(1)
@@ -58,7 +58,7 @@ class AntichainSpec:
                 "would be positively dependent"
             )
         if weights is not None:
-            weights = {k: Fraction(v) for k, v in weights.items()}
+            weights = {k: _to_rat(v) for k, v in weights.items()}
             for (k, j), w in weights.items():
                 if w <= 0:
                     raise PreconditionError(f"weight for subset {k}, axis {j} not positive")
@@ -86,7 +86,7 @@ def make_cross(d: int, scales=None) -> VecSet:
     """
     if d < 1:
         raise PreconditionError("dimension must be positive")
-    scales = [_ONE] * d if scales is None else [Fraction(s) for s in scales]
+    scales = [_ONE] * d if scales is None else [_to_rat(s) for s in scales]
     if len(scales) != d:
         raise PreconditionError("need one scale per dimension")
     if any(s <= 0 for s in scales):
@@ -103,7 +103,7 @@ def make_simplex(d: int, coeffs=None) -> VecSet:
     """The (d+1)-element simplex {e_1, ..., e_d, -sum(c_i e_i)}, c_i > 0."""
     if d < 1:
         raise PreconditionError("dimension must be positive")
-    coeffs = [_ONE] * d if coeffs is None else [Fraction(c) for c in coeffs]
+    coeffs = [_ONE] * d if coeffs is None else [_to_rat(c) for c in coeffs]
     if len(coeffs) != d:
         raise PreconditionError("need one coefficient per dimension")
     if any(c <= 0 for c in coeffs):

@@ -50,8 +50,9 @@ class SpanLattice:
         return iter(self.elements)
 
     def element(self, subset) -> LatticeElement:
+        self.base.matrix(subset := tuple(subset))  # PreconditionError on a bad index
         key = tuple(sorted(subset))
-        found = self._by_mask.get(_mask(key)) if min(key, default=0) >= 0 else None
+        found = self._by_mask.get(_mask(key))
         if found is None or found.subset != key:  # a repeat ORs into one bit
             raise PreconditionError("subset is not a lattice element")
         return found

@@ -26,6 +26,10 @@ _ONE = Fraction(1)
 
 
 def _to_rat(value) -> Fraction:
+    """The one conversion of a caller's entry: a ``Fraction``, an ``int`` or
+    a string holding an integer, a decimal or ``p/q``.  An exponent is
+    refused before it is expanded: ``"1e999999999"`` would be a
+    10^9-digit integer."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -33,6 +37,8 @@ def _to_rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"no exponents: write {value!r} as an integer, a decimal or p/q")
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -364,7 +370,7 @@ def strict_separator(vectors) -> FeasWitness:
     vectors, d = _columns(vectors)
     for i, x in enumerate(vectors):
         if x.is_zero():
-            raise ZeroVectorError("zero vector admits no strict separator", index=i)
+            raise ZeroVectorError(f"vector {i} is zero: no strict separator", index=i)
     m = len(vectors)
     rows = [
         list(x) + [-v for v in x] + [-_ONE if k == i else _ZERO for k in range(m)]

@@ -340,8 +340,7 @@ def replace_element(A: VecSet, x: int, y: QVec) -> tuple[VecSet, dict[int, int]]
     Set semantics: if y already occurs elsewhere the result shrinks by one.
     The map sends every retained old index (and x) to its new position.
     """
-    if not 0 <= x < len(A):
-        raise PreconditionError(f"index {x} not present")
+    A.matrix([x])  # PreconditionError unless x is an index of A
     if y.is_zero():
         raise ZeroVectorError("replacement vector is zero")
     out: list[QVec] = []

@@ -3,7 +3,12 @@ import json
 
 import pytest
 
-from psskit.cli import main, parse_vecset, vecset_json
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psskit import cli
+from psskit.cli import CliInputError, main, parse_vecset, vecset_json
+from psskit.errors import VectorInputError
 from psskit.genlib import example_x9
 
 
@@ -43,6 +48,28 @@ class TestParsing:
 
         with pytest.raises(CliInputError, match="vector 1"):
             parse_vecset('{"dim": 1, "vectors": [["1"], ["x"]]}')
+
+    _json = st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(-3, 3)
+        | st.integers()
+        | st.floats()
+        | st.text(alphabet="0123456789-/.eE x", max_size=6),
+        lambda inner: st.lists(inner, max_size=3),
+        max_leaves=8,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=_json, vectors=_json)
+    def test_any_json_is_a_set_or_an_input_error(self, dim, vectors):
+        # the one input boundary: every malformed value is refused as input
+        text = json.dumps({"dim": dim, "vectors": vectors})
+        try:
+            X = parse_vecset(text)
+        except (CliInputError, VectorInputError):
+            return
+        assert X.dim == dim and len(X) == len(vectors)
 
 
 class TestPipelines:
@@ -141,22 +168,74 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "payload, message",
         [
-            ({"dim": 1, "vectors": [["1"], [True]]}, "vector 1: boolean entry"),
-            ({"dim": 1, "vectors": [["1"], [None]]}, "vector 1: unsupported entry None"),
+            ({"dim": 1, "vectors": [["1"], [True]]}, "vector 1: expected an exact rational, got bool"),
+            ({"dim": 1, "vectors": [["1"], [None]]}, "vector 1: expected an exact rational, got NoneType"),
             ([["1"], ["-1"]], 'input must be {"dim": d, "vectors": [[...], ...]}'),
-            ({"dim": 0, "vectors": []}, "dim must be a positive integer, got 0"),
-            ({"dim": "2", "vectors": []}, "dim must be a positive integer, got '2'"),
-            ({"dim": True, "vectors": [["1"], ["-1"]]}, "dim must be a positive integer, got True"),
-            ({"dim": 2, "vectors": "1,0"}, "vectors must be a list"),
-            ({"dim": 2, "vectors": [["1", "0"], ["1"]]}, "vector 1: expected 2 entries"),
+            ({"dim": 0, "vectors": []}, "dimension must be a positive int, got 0"),
+            ({"dim": "2", "vectors": []}, "dimension must be a positive int, got '2'"),
+            ({"dim": True, "vectors": [["1"], ["-1"]]}, "dimension must be a positive int, got True"),
+            ({"dim": 2, "vectors": "1,0"}, 'input must be {"dim": d, "vectors": [[...], ...]}'),
+            ({"dim": 2, "vectors": [["1", "0"], ["1"]]}, "vector 1 has dimension 1, expected 2"),
+            ({"dim": 1, "vectors": [["1"], "-1"]}, "vector 1: expected a list of entries"),
         ],
-        ids=["boolean", "null", "top-level-list", "dim-zero", "dim-string", "dim-boolean", "vectors-not-list", "short-row"],
+        ids=[
+            "boolean",
+            "null",
+            "top-level-list",
+            "dim-zero",
+            "dim-string",
+            "dim-boolean",
+            "vectors-not-list",
+            "short-row",
+            "row-not-list",
+        ],
     )
     def test_malformed_input_is_input_error(self, payload, message, monkeypatch, capsys):
         code, out, err = run_cli(["analyze"], json.dumps(payload), monkeypatch, capsys)
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, entry",
+        [
+            ("mns", "1e5000"),
+            ("simplices", "1e5000"),
+            ("cones", "1e5000"),
+            ("gale", "1e5000"),
+            ("analyze", "1E-3"),
+            # refused before Fraction would build a 10^9-digit integer
+            ("mns", "1e999999999"),
+        ],
+    )
+    def test_exponent_entry_is_input_error(self, command, entry, monkeypatch, capsys):
+        payload = json.dumps({"dim": 1, "vectors": [["-1"], [entry]]})
+        code, out, err = run_cli([command], payload, monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: vector 1: no exponents: write {entry!r} as an integer, a decimal or p/q\n"
+        )
+
+    def test_integer_past_the_digit_limit_is_input_error(self, monkeypatch, capsys):
+        # json.loads refuses the whole document, so no vector can be named
+        payload = '{"dim": 1, "vectors": [["-1"], [' + "7" * 5000 + "]]}"
+        for command in ("analyze", "mns", "verify"):
+            code, out, err = run_cli([command], payload, monkeypatch, capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: input is not valid JSON: Exceeds the limit")
+
+    def test_unexpected_exception_exits_three(self, monkeypatch, capsys):
+        def broken(X):
+            raise ValueError("unexpected")
+
+        monkeypatch.setitem(cli._INPUT_COMMANDS, "mns", (broken, "maximal pointed frames"))
+        payload = json.dumps({"dim": 1, "vectors": [["1"], ["-1"]]})
+        code, out, err = run_cli(["mns"], payload, monkeypatch, capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: unexpected\n"
 
     def test_unreadable_path_is_input_error(self, tmp_path, monkeypatch, capsys):
         missing = tmp_path / "missing.json"
@@ -215,8 +294,19 @@ class TestExitCodes:
                 ["simplex", "--coeffs", "1,foo"],
                 "--coeffs: bad entry in '1,foo' (Invalid literal for Fraction: 'foo')",
             ),
+            (
+                ["cross", "--dim", "2", "--scales", "1e9"],
+                "--scales: bad entry in '1e9' "
+                "(no exponents: write '1e9' as an integer, a decimal or p/q)",
+            ),
         ],
-        ids=["subsets-not-int", "scales-not-rational", "scales-zero-denominator", "coeffs-not-rational"],
+        ids=[
+            "subsets-not-int",
+            "scales-not-rational",
+            "scales-zero-denominator",
+            "coeffs-not-rational",
+            "scales-exponent",
+        ],
     )
     def test_malformed_generate_option_is_input_error(self, argv, message, monkeypatch, capsys):
         code, out, err = run_cli(["generate", *argv], monkeypatch=monkeypatch, capsys=capsys)

@@ -46,6 +46,13 @@ class TestMakeCross:
         with pytest.raises(PreconditionError):
             make_cross(2, [1, 0])
 
+    def test_float_scale_rejected(self):
+        with pytest.raises(TypeError):
+            make_cross(2, [0.5, 1])
+
+    def test_string_scales_are_exact(self):
+        assert make_cross(2, ["1/2", "2"]) == make_cross(2, [Fraction(1, 2), 2])
+
 
 class TestMakeSimplex:
     def test_default_plane(self):
@@ -65,6 +72,10 @@ class TestMakeSimplex:
     def test_nonpositive_coeff_rejected(self):
         with pytest.raises(PreconditionError):
             make_simplex(2, [1, -1])
+
+    def test_float_coeff_rejected(self):
+        with pytest.raises(TypeError):
+            make_simplex(2, [1, 0.5])
 
 
 class TestAntichain:
@@ -91,6 +102,14 @@ class TestAntichain:
     def test_non_covering_rejected(self):
         with pytest.raises(PreconditionError):
             AntichainSpec(3, [{1, 2}])
+
+    def test_float_weight_rejected(self):
+        with pytest.raises(TypeError):
+            AntichainSpec(2, [{1, 2}], {(0, 1): 0.5})
+
+    def test_string_weights_are_exact(self):
+        spec = AntichainSpec(2, [{1, 2}], {(0, 1): "1/2"})
+        assert make_from_antichain(spec).vectors[-1] == QVec([F(-1, 2), -1])
 
     def test_round_trip_recovers_supports(self):
         subsets = [{1, 2}, {2, 3}, {4}]

@@ -69,8 +69,17 @@ class TestOperations:
 
     @pytest.mark.parametrize(
         "subset",
-        [(0,), (0, 0, 1), (-1,), (-1, 0, 1), (0, 1, 4)],
-        ids=["non-member", "repeated", "negative", "negative-in-member", "out-of-range"],
+        [(0,), (0, 0, 1), (-1,), (-1, 0, 1), (0, 1, 4), (True, 0), ("a",), (0, 1.0)],
+        ids=[
+            "non-member",
+            "repeated",
+            "negative",
+            "negative-in-member",
+            "out-of-range",
+            "bool-index",
+            "str-index",
+            "float-index",
+        ],
     )
     def test_element_rejects_what_is_not_a_member(self, subset):
         with pytest.raises(PreconditionError):

@@ -326,6 +326,16 @@ class TestQVecEntries:
         with pytest.raises(TypeError):
             QVec(entries)
 
+    @pytest.mark.parametrize("entry", ["1e3", "1E-3", "1e999999999", " 2e0 "])
+    def test_exponent_is_refused(self, entry):
+        # before Fraction expands it: "1e999999999" has 10^9 digits
+        with pytest.raises(ValueError, match="no exponents"):
+            QVec([entry])
+
+    @pytest.mark.parametrize("entry, value", [(" 7 ", 7), ("-0.25", F(-1, 4)), ("3/6", F(1, 2))])
+    def test_integer_decimal_and_ratio_strings(self, entry, value):
+        assert QVec([entry]).entries == (value,)
+
 
 class TestDot:
     @settings(max_examples=300, deadline=None)

@@ -604,6 +604,12 @@ class TestReplaceElement:
         with pytest.raises(ZeroVectorError):
             replace_element(CROSS2, 0, QVec.zero(2))
 
+    @pytest.mark.parametrize("x", [True, 1.0, -1, 4, "1"], ids=["bool", "float", "negative", "past-end", "str"])
+    def test_index_check_is_the_matrix_one(self, x):
+        # the same check as CROSS2.matrix([x]): a bool or a float is no index
+        with pytest.raises(PreconditionError, match="not present"):
+            replace_element(CROSS2, x, QVec([1, 1]))
+
 
 class TestExtractPositiveBasis:
     def test_basis_is_fixed_point(self):
