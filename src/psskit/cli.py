@@ -6,9 +6,12 @@ prints a machine-readable JSON report with a fixed key order to stdout
 and a short human summary to stderr.
 
 Exit codes: 0 success, 1 a failing property suite (``verify``) only, 2
-input error, 3 internal error: any other exception, such as a result that
-failed its own re-check, which is a bug, not bad input.  Inside ``verify``
-such a failure fails its check.
+input error (a set past the scan guard included, or one with no vectors
+and a ``dim`` past it), 3 internal error: any other exception, such as a
+result that failed its own re-check (a ``PropertyViolation``), which is a
+bug, not bad input.  Inside ``verify`` such a failure fails its check.
+The input is parsed under Python's int-to-str digit limit; the report is
+built and written without it, as an exact output value may pass it.
 """
 
 import argparse
@@ -107,20 +110,13 @@ def _emit(report: dict, summary: str) -> None:
     sys.stderr.write(summary + "\n")
 
 
-def _simplex_json(s) -> dict:
-    return {
-        "members": list(s.members),
-        "dependency": _coeffs_json(s.dependency),
-    }
-
-
 def _load_guarded(args) -> VecSet:
     X = parse_vecset(_read_input(args.input))
     limit = args.max_size
-    if len(X) > limit:
+    if len(X) > limit or not X.vectors and X.dim > limit:  # nothing else bounds dim
         raise CliInputError(
-            f"set has {len(X)} vectors, beyond the scan guard {limit}; "
-            "raise --max-size or PSSKIT_MAX_SIZE to override"
+            f"set has {len(X)} vectors in dimension {X.dim}, beyond the scan "
+            f"guard {limit}; raise --max-size or PSSKIT_MAX_SIZE to override"
         )
     return X
 
@@ -183,7 +179,10 @@ def cmd_simplices(X: VecSet) -> tuple[dict, str]:
     simplices = enumerate_simplices(X)
     report = {
         "count": len(simplices),
-        "simplices": [_simplex_json(s) for s in simplices],
+        "simplices": [
+            {"members": list(s.members), "dependency": _coeffs_json(s.dependency)}
+            for s in simplices
+        ],
     }
     return report, f"simplices: {len(simplices)} found"
 
@@ -360,8 +359,16 @@ def main(argv=None) -> int:
         if args.command == "generate":
             _emit(*cmd_generate(args))
             return _EXIT_OK
-        report, summary = _INPUT_COMMANDS[args.command][0](_load_guarded(args))
-        _emit({"command": args.command, **report}, summary)
+        X = _load_guarded(args)
+        digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+        if digits:
+            sys.set_int_max_str_digits(0)
+        try:
+            report, summary = _INPUT_COMMANDS[args.command][0](X)
+            _emit({"command": args.command, **report}, summary)
+        finally:
+            if digits:
+                sys.set_int_max_str_digits(digits)
         failed = args.command == "verify" and not report["passed"]
         return _EXIT_SUITE if failed else _EXIT_OK
     except (CliInputError, VectorInputError, PreconditionError) as exc:

@@ -15,8 +15,7 @@ from itertools import combinations
 from .errors import PreconditionError, PropertyViolation
 from .ratlin import QVec, solve_nonneg, strict_separator
 from .simplicial import enumerate_simplices, is_simplex
-from .spanset import VecSet, _mask, _members, _memoized, extract_positive_basis
-from .spanset import is_positive_basis, is_pss
+from .spanset import VecSet, _mask, _members, _memoized, _require, extract_positive_basis
 
 _ONE = Fraction(1)
 
@@ -117,7 +116,7 @@ def _explore(
         if w is None:
             res = strict_separator([X[i] for i in _members(grown)])
             if res.kind != "separator":
-                raise RuntimeError("simplex-free subset without a strict separator")
+                raise PropertyViolation("simplex-free subset without a strict separator")
             w = res.separator
         _explore(X, closing, family, grown, w)
 
@@ -170,11 +169,8 @@ def verify_main_bounds(X: VecSet) -> MainBoundsReport:
     d+1 <= frames <= 2^d, with the upper bounds attained exactly on
     crosses and the lower ones exactly on simplices.
     """
-    if not is_positive_basis(X):
-        raise PreconditionError("set is not a positive basis")
+    _require(X, basis=True, full=True)
     d = X.dim
-    if X.rank() != d:
-        raise PreconditionError("positive basis does not span the full space")
     n = len(enumerate_simplices(X))
     card = len(X)
     frames = len(enumerate_mns(X))
@@ -209,11 +205,8 @@ def cone_decomposition(X: VecSet) -> ConeCover:
     the frame's separator, re-checked strictly against every assigned
     vector.
     """
-    if not is_pss(X):
-        raise PreconditionError("set does not positively span its hull")
+    _require(X, full=True)
     d = X.dim
-    if X.rank() != d:
-        raise PreconditionError("set does not span the full space")
     Y, kept = extract_positive_basis(X)
     in_y = {i: a for a, i in enumerate(kept)}
     frames = enumerate_mns(Y)
@@ -255,11 +248,8 @@ def max_disjoint_family(X: VecSet) -> list[ConeFrame]:
     such family has at most 2^d members; the greedy one is a witness and
     the bound is asserted for it.
     """
-    if not is_pss(X):
-        raise PreconditionError("set does not positively span its hull")
+    _require(X, full=True)
     d = X.dim
-    if X.rank() != d:
-        raise PreconditionError("set does not span the full space")
     kept: list[ConeFrame] = []
     for frame in enumerate_mns(X):
         mask = _mask(frame.members)
@@ -290,9 +280,8 @@ def restrict_frames(X: VecSet, Y: VecSet) -> FrameRestriction:
         if i is None:
             raise PreconditionError("second set is not a subset of the first")
         y_to_x.append(i)
-    for S, nm in ((X, "first"), (Y, "second")):
-        if not is_pss(S) or S.rank() != d:
-            raise PreconditionError(f"{nm} set does not positively span the space")
+    for S in (X, Y):
+        _require(S, full=True)
 
     frames_x = enumerate_mns(X)
     frames_y = enumerate_mns(Y)

@@ -32,6 +32,9 @@ class PreconditionError(PssKitError, ValueError):
 class PropertyViolation(PssKitError, RuntimeError):
     """A certified internal invariant failed to re-check.
 
-    Raised only when a result that the library guarantees by construction
-    turns out false on verification; seeing this means a bug, not bad input.
+    The one exception of every failed re-check, from an LP certificate in
+    ``ratlin`` up to a suite bound: a result the library guarantees by
+    construction turned out false on verification, which means a bug, not
+    bad input.  ``verify`` fails the check that raised it; any other
+    command exits 3.
     """

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import PreconditionError, PropertyViolation
 from .ratlin import QVec, kernel_basis, rank, _dot, _integer_row, _reduce
 from .simplicial import Simplex, enumerate_simplices
-from .spanset import VecSet, _mask, is_pss
+from .spanset import VecSet, _mask, _require
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -102,8 +102,7 @@ def nonneg_dependency_basis(X: VecSet) -> list[Dependency]:
     dependencies on subsets of its support (conformal decomposition into
     elementary vectors, Rockafellar 1969).
     """
-    if not is_pss(X):
-        raise PreconditionError("set does not positively span its hull")
+    _require(X)
     return _first_independent(
         X, lambda s: list(simplex_dependency(X, s).coeffs), "nonnegative dependencies"
     )
@@ -144,8 +143,7 @@ def characteristic_basis(X: VecSet) -> list[Dependency]:
     equilibrated: the first linearly independent indicators in canonical
     simplex order.
     """
-    if not is_pss(X):
-        raise PreconditionError("set does not positively span its hull")
+    _require(X)
     if not is_locally_equilibrated(X):
         raise PreconditionError("set is not locally equilibrated")
     return _first_independent(X, lambda s: _indicator(X, s), "indicator functions")

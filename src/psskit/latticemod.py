@@ -18,7 +18,7 @@ from operator import or_
 
 from .errors import PreconditionError
 from .simplicial import Simplex, enumerate_simplices, positively_spanning_subsets
-from .spanset import VecSet, _mask, _members, is_pss
+from .spanset import VecSet, _mask, _members, _require
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,7 @@ def build_lattice(X: VecSet) -> SpanLattice:
     it contains.  For a positive basis the map to simplex sets is
     injective, so the lattice has exactly 2^(number of simplices) elements.
     """
-    if not is_pss(X):
-        raise PreconditionError("set does not positively span its hull")
+    _require(X)
     simplices = enumerate_simplices(X)
     masks = [_mask(s.members) for s in simplices]
     elements = [

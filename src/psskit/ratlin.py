@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionMismatchError, ZeroVectorError
+from .errors import DimensionMismatchError, PropertyViolation, ZeroVectorError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -318,7 +318,7 @@ def _phase_one(rows: list[list[Fraction]], rhs: list[Fraction], n: int):
                     best = ratio
                     leave = i
         if leave is None:  # objective is bounded below by 0, cannot happen
-            raise RuntimeError("phase-I simplex detected unboundedness")
+            raise PropertyViolation("phase-I simplex detected unboundedness")
         prow = T[leave]
         piv = prow[enter]
         cols = [j for j, v in enumerate(prow) if v]
@@ -353,9 +353,8 @@ def solve_nonneg(columns, b) -> FeasWitness:
     x = _phase_one(rows, list(b), len(cols))
     if x is None:
         return FeasWitness.infeasible()
-    for row, bi in zip(rows, b):
-        if _dot(row, x) != bi:
-            raise RuntimeError("simplex returned an invalid certificate")
+    if any(_dot(row, x) != bi for row, bi in zip(rows, b)):
+        raise PropertyViolation("simplex returned an invalid certificate")
     return FeasWitness.coefficients(dict(enumerate(x)))
 
 
@@ -380,7 +379,6 @@ def strict_separator(vectors) -> FeasWitness:
     if x is None:
         return FeasWitness.infeasible()
     z = QVec(x[k] - x[d + k] for k in range(d))
-    for v in vectors:
-        if z.dot(v) < 1:
-            raise RuntimeError("simplex returned an invalid separator")
+    if any(z.dot(v) < 1 for v in vectors):
+        raise PropertyViolation("simplex returned an invalid separator")
     return FeasWitness.of_separator(z)

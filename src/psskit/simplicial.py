@@ -22,8 +22,8 @@ from .spanset import (
     _mask,
     _members,
     _memoized,
+    _require,
     in_rint_positive_span,
-    is_positive_basis,
     is_pss,
     replace_element,
     skeleton_contains,
@@ -194,11 +194,8 @@ def basis_decomposition(X: VecSet) -> BasisDecomposition:
     each simplex is taken as its x_i and the rest as A_i.  All structural
     invariants are re-checked before returning.
     """
-    if not is_positive_basis(X):
-        raise PreconditionError("set is not a positive basis")
+    _require(X, basis=True, full=True)
     d = X.dim
-    if X.rank() != d:
-        raise PreconditionError("positive basis does not span the full space")
     simplices = enumerate_simplices(X)
     n = len(simplices)
     owners = Counter(i for s in simplices for i in s.members)

@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     DuplicateVectorError,
     PreconditionError,
+    PropertyViolation,
     ZeroVectorError,
 )
 from .ratlin import (
@@ -174,7 +175,7 @@ def linearly_dependent(X: VecSet) -> DependenceReport:
         if sol is not None:
             coeffs = {j: sol[k] for k, j in enumerate(rest)}
             return DependenceReport(True, i, coeffs)
-    raise RuntimeError("rank deficient set without a dependent element")
+    raise PropertyViolation("rank deficient set without a dependent element")
 
 
 @_memoized
@@ -224,6 +225,18 @@ def is_positive_basis(X: VecSet) -> bool:
     return is_pss(X) and not positively_dependent(X).verdict
 
 
+def _require(X: VecSet, basis: bool = False, full: bool = False) -> None:
+    """The one check of the spanning preconditions: PreconditionError
+    unless X positively spans its hull and, when asked, is a positive
+    basis and spans the full space."""
+    if not is_pss(X):
+        raise PreconditionError("set does not positively span its hull")
+    if basis and positively_dependent(X).verdict:
+        raise PreconditionError("set is not a positive basis")
+    if full and X.rank() != X.dim:
+        raise PreconditionError("set does not span the full space")
+
+
 # ----------------------------------------------------------------------
 # support reduction
 
@@ -242,9 +255,9 @@ def caratheodory_reduce(x: QVec, X: VecSet) -> SpanPoint:
         raise PreconditionError("point is not in the positive span of the set")
     coeffs = {i: c for i, c in res.coeffs.items() if c != 0}
     if any(c < 0 for c in coeffs.values()):
-        raise RuntimeError("basic solution has a negative coefficient")
+        raise PropertyViolation("basic solution has a negative coefficient")
     if X.rank(sorted(coeffs)) != len(coeffs):
-        raise RuntimeError("basic solution has a dependent support")
+        raise PropertyViolation("basic solution has a dependent support")
     return SpanPoint(x, coeffs)
 
 
@@ -305,7 +318,7 @@ def skeleton_contains(p: QVec, X: VecSet) -> bool:
     if any(c < 0 for c in coeffs.values()) or any(
         _dot([x[k] for x in vectors], coeffs.values()) != p[k] for k in range(d)
     ):
-        raise RuntimeError("skeleton certificate does not rebuild the point")
+        raise PropertyViolation("skeleton certificate does not rebuild the point")
     return True
 
 
@@ -367,8 +380,7 @@ def extract_positive_basis(X: VecSet) -> tuple[VecSet, tuple[int, ...]]:
     each such element is the next one the pass meets.  Returns the basis
     and the retained indices of X.
     """
-    if not is_pss(X):
-        raise PreconditionError("set does not positively span its hull")
+    _require(X)
     if not positively_dependent(X).verdict:
         return X, tuple(X.indices())  # nothing is removable
     kept = list(X.indices())

@@ -134,11 +134,7 @@ def _check_lattice(X: VecSet) -> tuple[bool, str]:
 
 
 def _check_caratheodory(X: VecSet) -> tuple[bool, str]:
-    samples = [X[i] for i in X.indices()]
-    total = QVec.zero(X.dim)
-    for v in X:
-        total = total + v
-    samples.append(total)
+    samples = [*X, sum(X, QVec.zero(X.dim))]
     r = X.rank()
     for p in samples:  # each lies in the positive span by construction
         sp = caratheodory_reduce(p, X)

@@ -1,5 +1,7 @@
 import io
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 
 from psskit import cli
 from psskit.cli import CliInputError, main, parse_vecset, vecset_json
+from psskit import VecSet
 from psskit.errors import VectorInputError
-from psskit.genlib import example_x9
+from psskit.genlib import example_x9, make_cross
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -226,6 +229,62 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error: input is not valid JSON: Exceeds the limit")
 
+    def test_output_past_the_digit_limit_exits_zero(self, monkeypatch, capsys):
+        # 4,000-digit entries parse under the limit; the witnesses reach 12,001 digits
+        a = "3" * 4000
+        rows = [[a, "1"], ["-1", a], ["1", "-" + a], ["-" + a, "-1"]]
+        X = VecSet(2, rows)
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+        entries = {}
+        for command, key in (("mns", "frames"), ("cones", "parts")):
+            payload = json.dumps({"dim": 2, "vectors": rows})
+            code, out, err = run_cli([command], payload, monkeypatch, capsys)
+            assert code == 0, err
+            if limit:
+                assert sys.get_int_max_str_digits() == limit  # restored
+            entries[command] = json.loads(out)[key]
+        assert len(entries["mns"]) == 4
+        assert sorted(i for part in entries["cones"] for i in part["members"]) == [0, 1, 2, 3]
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:  # every witness strictly separates its members, by exact multiplication
+            for entry in entries["mns"] + entries["cones"]:
+                z = [Fraction(c) for c in entry["witness"]]
+                for i in entry["members"]:
+                    assert sum(zc * xc for zc, xc in zip(z, X[i])) > 0
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize(
+        "command", ["analyze", "simplices", "lattice", "mns", "cones", "gale", "reay", "verify"]
+    )
+    def test_empty_set_past_the_guard_is_input_error(self, command, monkeypatch, capsys):
+        # with no vectors nothing in the input bounds dim: 10^12 exits 2 at once
+        payload = json.dumps({"dim": 10**12, "vectors": []})
+        code, out, err = run_cli([command], payload, monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: set has 0 vectors in dimension 1000000000000, beyond the scan "
+            "guard 18; raise --max-size or PSSKIT_MAX_SIZE to override\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [("analyze", 0), ("simplices", 0), ("lattice", 0), ("mns", 0), ("cones", 2),
+         ("gale", 0), ("reay", 2), ("verify", 0)],
+    )
+    def test_empty_set_within_the_guard_keeps_its_answers(
+        self, command, expected, monkeypatch, capsys
+    ):
+        for dim, argv in ((2, [command]), (19, [command, "--max-size", "19"])):
+            payload = json.dumps({"dim": dim, "vectors": []})
+            code, _, _ = run_cli(argv, payload, monkeypatch, capsys)
+            assert code == expected
+        payload = json.dumps({"dim": 19, "vectors": []})
+        code, _, err = run_cli([command], payload, monkeypatch, capsys)
+        assert code == 2 and "beyond the scan guard 18" in err
+
     def test_unexpected_exception_exits_three(self, monkeypatch, capsys):
         def broken(X):
             raise ValueError("unexpected")
@@ -432,6 +491,68 @@ class TestExitCodes:
             }
         ]
         assert err.startswith("verify: FAIL")
+
+    @staticmethod
+    def _perturb_phase_one(monkeypatch, separator_shaped):
+        """Move the first coordinate of every feasible phase-I solution whose
+        right-hand side is all ones (the strict-separator LP) or, otherwise,
+        of every one with a nonzero right-hand side (a cone-membership LP)."""
+        from psskit import ratlin
+
+        exact = ratlin._phase_one
+
+        def perturbed(rows, rhs, n):
+            x = exact(rows, rhs, n)
+            hit = all(b == 1 for b in rhs) if separator_shaped else (
+                any(rhs) and not all(b == 1 for b in rhs)
+            )
+            return [x[0] + 1, *x[1:]] if x is not None and hit else x
+
+        monkeypatch.setattr(ratlin, "_phase_one", perturbed)
+
+    def _report(self, command, X, monkeypatch, capsys):
+        return run_cli([command], json.dumps(vecset_json(X)), monkeypatch, capsys)
+
+    def test_failed_certificate_recheck_fails_its_check(self, monkeypatch, capsys):
+        self._perturb_phase_one(monkeypatch, separator_shaped=False)
+        code, out, err = self._report("verify", make_cross(2), monkeypatch, capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert len(report["checks"]) == 13
+        failed = [c for c in report["checks"] if c["applicable"] and not c["passed"]]
+        assert failed == [
+            {
+                "name": "conic_caratheodory",
+                "applicable": True,
+                "passed": False,
+                "detail": "simplex returned an invalid certificate",
+            }
+        ]
+        assert err.startswith("verify: FAIL")
+        # outside the suite the same failure is an internal error
+        X = VecSet(2, [*make_cross(2), [1, 2]])  # positively dependent
+        code, out, err = self._report("analyze", X, monkeypatch, capsys)
+        assert (code, out) == (3, "")
+        assert err == "internal error: simplex returned an invalid certificate\n"
+
+    def test_failed_separator_recheck_fails_the_frame_checks(self, monkeypatch, capsys):
+        self._perturb_phase_one(monkeypatch, separator_shaped=True)
+        code, out, err = self._report("verify", make_cross(2), monkeypatch, capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert len(report["checks"]) == 13
+        failed = [c for c in report["checks"] if c["applicable"] and not c["passed"]]
+        assert [c["name"] for c in failed] == [
+            "cardinality_bounds",
+            "pointed_cover",
+            "overlap_family_bound",
+            "frame_full_rank",
+            "frame_simplex_intersections",
+        ]
+        assert {c["detail"] for c in failed} == {"simplex returned an invalid separator"}
+        code, out, err = self._report("mns", make_cross(2), monkeypatch, capsys)
+        assert (code, out) == (3, "")
+        assert err == "internal error: simplex returned an invalid separator\n"
 
     @pytest.mark.parametrize(
         "command", ["analyze", "simplices", "lattice", "mns", "cones", "gale", "reay", "verify"]

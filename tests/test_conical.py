@@ -15,7 +15,7 @@ from psskit import (
     restrict_frames,
     verify_main_bounds,
 )
-from psskit.errors import PreconditionError
+from psskit.errors import PreconditionError, PropertyViolation
 from psskit.genlib import (
     AntichainSpec,
     example_x9,
@@ -164,7 +164,7 @@ class TestEnumerateMns:
         monkeypatch.setattr(
             "psskit.conical.strict_separator", lambda vectors: FeasWitness.infeasible()
         )
-        with pytest.raises(RuntimeError, match="without a strict separator"):
+        with pytest.raises(PropertyViolation, match="without a strict separator"):
             enumerate_mns(make_cross(2))
 
     def test_finished_walk_leaves_no_cyclic_garbage(self):

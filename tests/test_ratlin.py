@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psskit import QVec, kernel_basis, rank, ratlin, solve_nonneg, strict_separator
-from psskit.errors import DimensionMismatchError, ZeroVectorError
+from psskit.errors import DimensionMismatchError, PropertyViolation, ZeroVectorError
 from psskit.ratlin import _dot, _phase_one, _reduce, _with_combinations, solve_linear
 
 from conftest import (
@@ -381,13 +381,13 @@ class TestCertificateRechecks:
     def test_solve_nonneg(self, monkeypatch):
         assert solve_nonneg([[1, 0], [0, 1]], [1, 1]).kind == "coefficients"
         self._perturb(monkeypatch, F(1))
-        with pytest.raises(RuntimeError, match="^simplex returned an invalid certificate$"):
+        with pytest.raises(PropertyViolation, match="^simplex returned an invalid certificate$"):
             solve_nonneg([[1, 0], [0, 1]], [1, 1])
 
     def test_strict_separator(self, monkeypatch):
         assert strict_separator([[1, 0], [0, 1]]).separator == QVec([1, 1])
         self._perturb(monkeypatch, F(-1, 2))
-        with pytest.raises(RuntimeError, match="^simplex returned an invalid separator$"):
+        with pytest.raises(PropertyViolation, match="^simplex returned an invalid separator$"):
             strict_separator([[1, 0], [0, 1]])
 
 

@@ -26,6 +26,7 @@ from psskit.errors import (
     DimensionMismatchError,
     DuplicateVectorError,
     PreconditionError,
+    PropertyViolation,
     ZeroVectorError,
 )
 from psskit.ratlin import (
@@ -36,8 +37,16 @@ from psskit.ratlin import (
     solve_linear,
     strict_separator,
 )
-from psskit.conical import enumerate_mns
-from psskit.simplicial import enumerate_simplices, sxy_classify
+from psskit.conical import (
+    cone_decomposition,
+    enumerate_mns,
+    max_disjoint_family,
+    restrict_frames,
+    verify_main_bounds,
+)
+from psskit.gale import characteristic_basis, nonneg_dependency_basis
+from psskit.latticemod import build_lattice
+from psskit.simplicial import basis_decomposition, enumerate_simplices, sxy_classify
 from psskit import spanset
 from psskit.genlib import example_x9, make_cross, polygon_example, random_positive_basis
 
@@ -222,7 +231,7 @@ class TestCaratheodory:
         # basic solution; the re-check reports it instead of returning it
         witness = FeasWitness.coefficients({0: F(1), 1: F(1), 2: F(1)})
         monkeypatch.setattr(spanset, "solve_nonneg", lambda A, b: witness)
-        with pytest.raises(RuntimeError, match="dependent support"):
+        with pytest.raises(PropertyViolation, match="dependent support"):
             caratheodory_reduce(QVec.zero(2), SIMPLEX2)
 
     @settings(max_examples=40, deadline=None)
@@ -271,7 +280,7 @@ class TestSkeletonCore:
 
     def test_certificate_that_does_not_rebuild_the_point_raises(self, monkeypatch):
         monkeypatch.setattr(spanset, "_dot", lambda xs, ys: _dot(xs, ys) + 1)
-        with pytest.raises(RuntimeError, match="^skeleton certificate does not rebuild the point$"):
+        with pytest.raises(PropertyViolation, match="^skeleton certificate does not rebuild the point$"):
             skeleton_contains(QVec([1, 0]), SIMPLEX2)
 
     def test_negative_diagonal_lies_on_a_ray(self):
@@ -737,3 +746,38 @@ class TestStructureMemo:
         X = example_x9()
         assert X.subset(X.indices()) is X
         assert X.subset(reversed(X.indices())) != X
+
+
+
+# a set breaking each spanning precondition, with the one message it gets
+_BROKEN = {
+    "quadrant": (VecSet(2, [[1, 0], [0, 1]]), "set does not positively span its hull"),
+    "dependent": (
+        VecSet(2, [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]]),
+        "set is not a positive basis",
+    ),
+    "line": (VecSet(2, [[1, 0], [-1, 0]]), "set does not span the full space"),
+}
+_CALLERS = [
+    ("verify_main_bounds", verify_main_bounds, ("quadrant", "dependent", "line")),
+    ("basis_decomposition", basis_decomposition, ("quadrant", "dependent", "line")),
+    ("cone_decomposition", cone_decomposition, ("quadrant", "line")),
+    ("max_disjoint_family", max_disjoint_family, ("quadrant", "line")),
+    ("restrict_frames_first", lambda S: restrict_frames(S, S), ("quadrant", "line")),
+    ("restrict_frames_second", lambda S: restrict_frames(CROSS2, S), ("quadrant", "line")),
+    ("extract_positive_basis", extract_positive_basis, ("quadrant",)),
+    ("build_lattice", build_lattice, ("quadrant",)),
+    ("nonneg_dependency_basis", nonneg_dependency_basis, ("quadrant",)),
+    ("characteristic_basis", characteristic_basis, ("quadrant",)),
+]
+
+
+class TestSpanningPreconditions:
+    @pytest.mark.parametrize(
+        "call, broken",
+        [pytest.param(fn, b, id=f"{name}-{b}") for name, fn, bs in _CALLERS for b in bs],
+    )
+    def test_each_caller_raises_the_one_message(self, call, broken):
+        S, message = _BROKEN[broken]
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            call(S)
