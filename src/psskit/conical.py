@@ -244,16 +244,17 @@ def max_disjoint_family(X: VecSet) -> list[ConeFrame]:
     """A maximal greedy family of frames with low-dimensional overlaps.
 
     Walks the frames in canonical order and keeps one whenever its
-    intersection with every kept frame has rank below the dimension.  Any
-    such family has at most 2^d members; the greedy one is a witness and
-    the bound is asserted for it.
+    intersection with every kept frame has rank below d, as one of fewer
+    than d members has without elimination.  Any such family has at most
+    2^d members, which is asserted for the greedy one.
     """
     _require(X, full=True)
     d = X.dim
     kept: list[ConeFrame] = []
     for frame in enumerate_mns(X):
         mask = _mask(frame.members)
-        if all(X.rank(_members(mask & _mask(f.members))) < d for f in kept):
+        meets = (mask & _mask(f.members) for f in kept)
+        if all(m.bit_count() < d or X.rank(_members(m)) < d for m in meets):
             kept.append(frame)
     if len(kept) > (1 << d):
         raise PropertyViolation("family exceeds 2^d")

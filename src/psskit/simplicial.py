@@ -163,16 +163,10 @@ def factorization_condition(
     simplices = enumerate_simplices(X)
     masks = [_mask(s.members) for s in simplices]
     n = len(X)
-    rank_memo: dict[int, int] = {}
-
-    def r(mask: int) -> int:
-        if mask not in rank_memo:
-            rank_memo[mask] = X.rank(_members(mask))
-        return rank_memo[mask]
-
     everything = (1 << n) - 1
     if not spanning_only and all(
-        r(everything ^ S) + r(S) == r(everything) for S in masks
+        X.rank(_members(everything ^ S)) + X.rank(s.members) == X.rank()
+        for s, S in zip(simplices, masks)
     ):
         return FactorizationReport(True)
     if spanning_only:
@@ -180,8 +174,10 @@ def factorization_condition(
     else:
         subsets = (_mask(c) for k in range(n + 1) for c in combinations(range(n), k))
     for Y in subsets:
+        rank_y = X.rank(_members(Y))
         for s, S in zip(simplices, masks):
-            if r(Y & S) + r(Y | S) != r(Y) + r(S):
+            meet, join = X.rank(_members(Y & S)), X.rank(_members(Y | S))
+            if meet + join != rank_y + X.rank(s.members):
                 return FactorizationReport(False, _members(Y), s)
     return FactorizationReport(True)
 

@@ -7,9 +7,9 @@ and core of the positive span, and perform support reduction of positive
 combinations down to at most ``rank`` many vectors.
 
 All functions are pure; every witness they return reconstructs exactly.
-As a structure of a set (rank, verdicts, simplices, frames, the union
-closure of the simplices) depends on the set alone, it is computed once
-per :class:`VecSet` and kept in its memo.
+As a structure of a set (the rank of each subset, verdicts, simplices,
+frames, the union closure of the simplices) depends on the set alone, it
+is computed once per :class:`VecSet` and kept in its memo.
 """
 
 from dataclasses import dataclass
@@ -100,9 +100,13 @@ class VecSet:
         return None
 
     def rank(self, indices=None) -> int:
-        if indices is None:
-            return _full_rank(self)
-        return rank(self.matrix(indices))
+        """The rank of the vectors at ``indices`` (all by default), memoized by mask."""
+        indices = None if indices is None else tuple(indices)  # read a generator once
+        columns = self.matrix(indices)  # each index is checked before the mask
+        key = (1 << len(self)) - 1 if indices is None else _mask(indices)
+        if key not in self._memo:
+            self._memo[key] = rank(columns)
+        return self._memo[key]
 
 
 def _memoized(fn):
@@ -131,11 +135,6 @@ def _mask(indices) -> int:
 def _members(mask: int) -> tuple[int, ...]:
     """The indices of the bits set in ``mask``, ascending."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-@_memoized
-def _full_rank(X: VecSet) -> int:
-    return rank(X.vectors)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Each check is deterministic, exact, and either applicable to the input or
 skipped with a reason.  The CLI `verify` command feeds an input set
 through :func:`run_property_suite` and fails when any applicable check
-fails.  A check whose result fails its own re-check (a
-``PropertyViolation``) fails, with the message as its detail.
+fails.  A check whose result, or whose applicability, fails its own
+re-check (a ``PropertyViolation``) fails, with the message as its detail.
 """
 
 from dataclasses import dataclass
@@ -222,34 +222,38 @@ def _check_gale_points(X: VecSet) -> tuple[bool, str]:
     return True, "point classes equal membership classes"
 
 
-def run_property_suite(X: VecSet) -> list[SuiteCheck]:
-    pss = is_pss(X)
-    full = X.rank() == X.dim
-    basis = pss and is_positive_basis(X)
-    equilibrated = is_locally_equilibrated(X)
-    lattice_ok = pss and len(enumerate_simplices(X)) <= _LATTICE_LIMIT
+def _full(X: VecSet) -> bool:
+    return X.rank() == X.dim
 
+
+def _few_simplices(X: VecSet) -> bool:
+    return len(enumerate_simplices(X)) <= _LATTICE_LIMIT
+
+
+def run_property_suite(X: VecSet) -> list[SuiteCheck]:
+    # A check runs when all its conditions hold of X, decided inside its own
+    # ``try``: a failed re-check there fails each check that needs it.
     plan = [
-        ("spanning_equivalence", True, _check_gen_equivalence),
-        ("pointed_trichotomy", True, _check_trichotomy),
-        ("simplex_member_structure", True, _check_simplex_members),
-        ("independence_factorization", pss, _check_inter),
-        ("cardinality_bounds", basis and full, _check_main_bounds),
-        ("lattice_boolean_laws", lattice_ok, _check_lattice),
-        ("conic_caratheodory", True, _check_caratheodory),
-        ("pointed_cover", pss and full, _check_mainext),
-        ("overlap_family_bound", pss and full, _check_max_family),
-        ("frame_full_rank", pss, _check_frame_rank),
-        ("frame_simplex_intersections", pss, _check_maxind),
-        ("nonnegative_dependency_basis", pss, _check_gale_basis),
-        ("gale_point_classes", pss and equilibrated, _check_gale_points),
+        ("spanning_equivalence", (), _check_gen_equivalence),
+        ("pointed_trichotomy", (), _check_trichotomy),
+        ("simplex_member_structure", (), _check_simplex_members),
+        ("independence_factorization", (is_pss,), _check_inter),
+        ("cardinality_bounds", (is_positive_basis, _full), _check_main_bounds),
+        ("lattice_boolean_laws", (is_pss, _few_simplices), _check_lattice),
+        ("conic_caratheodory", (), _check_caratheodory),
+        ("pointed_cover", (is_pss, _full), _check_mainext),
+        ("overlap_family_bound", (is_pss, _full), _check_max_family),
+        ("frame_full_rank", (is_pss,), _check_frame_rank),
+        ("frame_simplex_intersections", (is_pss,), _check_maxind),
+        ("nonnegative_dependency_basis", (is_pss,), _check_gale_basis),
+        ("gale_point_classes", (is_pss, is_locally_equilibrated), _check_gale_points),
     ]
     results = []
-    for name, applicable, fn in plan:
-        if not applicable:
-            results.append(SuiteCheck(name, False, True, "not applicable"))
-            continue
+    for name, conditions, fn in plan:
         try:
+            if not all(holds(X) for holds in conditions):
+                results.append(SuiteCheck(name, False, True, "not applicable"))
+                continue
             passed, detail = fn(X)
         except PropertyViolation as exc:
             passed, detail = False, str(exc)

@@ -493,20 +493,21 @@ class TestExitCodes:
         assert err.startswith("verify: FAIL")
 
     @staticmethod
-    def _perturb_phase_one(monkeypatch, separator_shaped):
+    def _separator_shaped(rhs):
+        # the strict-separator LP's right-hand side is all ones
+        return all(b == 1 for b in rhs)
+
+    @staticmethod
+    def _perturb_phase_one(monkeypatch, hit):
         """Move the first coordinate of every feasible phase-I solution whose
-        right-hand side is all ones (the strict-separator LP) or, otherwise,
-        of every one with a nonzero right-hand side (a cone-membership LP)."""
+        right-hand side ``hit`` accepts."""
         from psskit import ratlin
 
         exact = ratlin._phase_one
 
         def perturbed(rows, rhs, n):
             x = exact(rows, rhs, n)
-            hit = all(b == 1 for b in rhs) if separator_shaped else (
-                any(rhs) and not all(b == 1 for b in rhs)
-            )
-            return [x[0] + 1, *x[1:]] if x is not None and hit else x
+            return [x[0] + 1, *x[1:]] if x is not None and hit(rhs) else x
 
         monkeypatch.setattr(ratlin, "_phase_one", perturbed)
 
@@ -514,7 +515,10 @@ class TestExitCodes:
         return run_cli([command], json.dumps(vecset_json(X)), monkeypatch, capsys)
 
     def test_failed_certificate_recheck_fails_its_check(self, monkeypatch, capsys):
-        self._perturb_phase_one(monkeypatch, separator_shaped=False)
+        # a nonzero right-hand side, not the separator's: a cone-membership LP
+        self._perturb_phase_one(
+            monkeypatch, lambda rhs: any(rhs) and not self._separator_shaped(rhs)
+        )
         code, out, err = self._report("verify", make_cross(2), monkeypatch, capsys)
         assert code == 1
         report = json.loads(out)
@@ -536,7 +540,7 @@ class TestExitCodes:
         assert err == "internal error: simplex returned an invalid certificate\n"
 
     def test_failed_separator_recheck_fails_the_frame_checks(self, monkeypatch, capsys):
-        self._perturb_phase_one(monkeypatch, separator_shaped=True)
+        self._perturb_phase_one(monkeypatch, self._separator_shaped)
         code, out, err = self._report("verify", make_cross(2), monkeypatch, capsys)
         assert code == 1
         report = json.loads(out)
@@ -553,6 +557,25 @@ class TestExitCodes:
         code, out, err = self._report("mns", make_cross(2), monkeypatch, capsys)
         assert (code, out) == (3, "")
         assert err == "internal error: simplex returned an invalid separator\n"
+
+    def test_failed_recheck_deciding_applicability_fails_the_checks_needing_it(
+        self, monkeypatch, capsys
+    ):
+        # is_pss's LP has a zero right-hand side: its re-check fails while
+        # the suite decides which checks apply, and every check that needs
+        # the flag fails with it; the report still prints
+        self._perturb_phase_one(monkeypatch, lambda rhs: not self._separator_shaped(rhs))
+        code, out, err = self._report("verify", make_cross(2), monkeypatch, capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert [c["name"] for c in report["checks"] if c["passed"]] == [
+            "pointed_trichotomy",
+            "simplex_member_structure",
+        ]
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert len(failed) == 11 and all(c["applicable"] for c in failed)
+        assert {c["detail"] for c in failed} == {"simplex returned an invalid certificate"}
+        assert err.startswith("verify: FAIL (13 applicable checks)")
 
     @pytest.mark.parametrize(
         "command", ["analyze", "simplices", "lattice", "mns", "cones", "gale", "reay", "verify"]

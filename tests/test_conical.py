@@ -303,6 +303,16 @@ class TestMaxDisjointFamily:
         fam = max_disjoint_family(make_cross(d))
         assert len(fam) == 2**d
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_cross_computes_no_rank_once_frames_are_known(self, d, monkeypatch):
+        # two distinct orthant frames share fewer than d members, and an
+        # intersection that small has rank below d without elimination
+        X = make_cross(d)
+        assert enumerate_mns(X) and X.rank() == d
+        calls = count_lp_calls(monkeypatch, names=("rank",))
+        assert len(max_disjoint_family(X)) == 2**d
+        assert calls == []
+
     def test_polygon_overlaps_prune(self):
         fam = max_disjoint_family(polygon_example(3))
         assert len(fam) < 6

@@ -46,7 +46,12 @@ from psskit.conical import (
 )
 from psskit.gale import characteristic_basis, nonneg_dependency_basis
 from psskit.latticemod import build_lattice
-from psskit.simplicial import basis_decomposition, enumerate_simplices, sxy_classify
+from psskit.simplicial import (
+    basis_decomposition,
+    enumerate_simplices,
+    factorization_condition,
+    sxy_classify,
+)
 from psskit import spanset
 from psskit.genlib import example_x9, make_cross, polygon_example, random_positive_basis
 
@@ -105,6 +110,33 @@ class TestConstruction:
     def test_matrix_rejects_an_index_past_the_end(self):
         with pytest.raises(PreconditionError, match=r"^index 5 not present$"):
             CROSS2.matrix([5])
+
+    # subset ranks are memoized by mask; the index check comes before the mask
+    def test_rank_checks_indices_while_the_memo_holds_other_masks(self):
+        X = make_cross(2)
+        assert (X.rank(), X.rank([0, 1]), X.rank([0, 2])) == (2, 1, 2)
+        with pytest.raises(PreconditionError, match=r"^index -1 not present$"):
+            X.rank([-1, 0])
+        with pytest.raises(PreconditionError, match=r"^index 4 not present$"):
+            X.rank([len(X)])
+        with pytest.raises(PreconditionError, match=r"^index True not present$"):
+            X.rank([True])
+
+    def test_rank_of_a_repeated_index_is_read_from_the_same_mask(self, monkeypatch):
+        X = make_cross(2)
+        assert X.rank([0, 2]) == 2
+        calls = count_lp_calls(monkeypatch, names=("rank",))
+        assert X.rank([2, 0, 0]) == X.rank([0, 2, 2, 0]) == 2
+        assert X.rank(range(len(X))) == X.rank() == 2
+        assert len(calls) == 1  # the full set; every other mask was held
+
+    def test_rank_reads_a_generator_once(self, monkeypatch):
+        X = make_cross(2)
+        assert X.rank(i for i in (0, 2)) == 2
+        calls = count_lp_calls(monkeypatch, names=("rank",))
+        assert X.rank([2, 0]) == 2  # kept under the mask of {0, 2}
+        assert X.rank([]) == 0  # the empty mask was not written by a second read
+        assert len(calls) == 1
 
 
 class TestLinearDependence:
@@ -738,9 +770,12 @@ class TestStructureMemo:
         positively_dependent(X)
         enumerate_simplices(X)
         X.rank()
+        X.rank([0, 1])
+        factorization_condition(X)
         assert X == Y and hash(X) == hash(Y) and repr(X) == repr(Y)
         assert {X: "analysed"}[Y] == "analysed"
         assert pickle.loads(pickle.dumps(X)) == Y
+        assert pickle.loads(pickle.dumps(X)).rank([0, 1]) == Y.rank([0, 1])
 
     def test_subset_of_every_index_is_the_set_itself(self):
         X = example_x9()

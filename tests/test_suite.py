@@ -84,6 +84,17 @@ def test_suite_lp_count_gate(monkeypatch):
     assert len(calls) <= 344
 
 
+@pytest.mark.parametrize("d, limit", [(6, 200), (8, 600)])
+def test_suite_rank_count_gate(d, limit, monkeypatch):
+    # Every subset rank is kept in the set's memo under its mask, and the
+    # overlap family skips intersections of fewer than d members.  The
+    # limits sit just above the counts measured then (165 and 561); they
+    # were 2,198 and 33,222 while ranks were kept per call or not at all.
+    calls = count_lp_calls(monkeypatch, names=("rank",))
+    assert suite_passed(run_property_suite(make_cross(d)))
+    assert len(calls) <= limit
+
+
 def test_suite_builds_the_union_closure_once(monkeypatch):
     # The spanning-only factorization scan and the lattice check share one
     # memoized closure; a build is one read of the simplices from inside it.
