@@ -92,22 +92,15 @@ def _scaled_extension(z: QVec, x: QVec) -> QVec | None:
     return None
 
 
-def _explore(
-    X: VecSet,
-    closing: list[list[int]],
-    family: dict[int, QVec],
-    mask: int,
-    witness: QVec,
-) -> None:
-    """Record ``mask`` with its separator, then every pointed extension of
-    it by larger indices, depth first.
+def _pointed_subsets(X: VecSet, closing: list[list[int]], mask: int, witness: QVec):
+    """Yield ``(mask, witness)``, then every pointed extension of ``mask``
+    by larger indices with its separator, depth first.
 
     ``closing[j]`` holds the masks of the simplices whose largest member
     is j: as ``mask`` is simplex-free and below j, these are the only
-    simplices that adding j can complete.  A module-level function, not a
-    closure, so a finished walk leaves no reference cycle behind.
+    simplices that adding j can complete.
     """
-    family[mask] = witness
+    yield mask, witness
     for j in range(mask.bit_length(), len(X)):
         grown = mask | 1 << j
         if any(s & ~grown == 0 for s in closing[j]):
@@ -118,7 +111,7 @@ def _explore(
             if res.kind != "separator":
                 raise PropertyViolation("simplex-free subset without a strict separator")
             w = res.separator
-        _explore(X, closing, family, grown, w)
+        yield from _pointed_subsets(X, closing, grown, w)
 
 
 @_memoized
@@ -138,8 +131,7 @@ def enumerate_mns(X: VecSet) -> list[ConeFrame]:
     closing: list[list[int]] = [[] for _ in range(n)]
     for s in enumerate_simplices(X):
         closing[s.members[-1]].append(_mask(s.members))
-    family: dict[int, QVec] = {}
-    _explore(X, closing, family, 0, QVec.zero(X.dim))
+    family = dict(_pointed_subsets(X, closing, 0, QVec.zero(X.dim)))
     frames = []
     for mask, witness in family.items():
         if all(mask >> j & 1 or mask | 1 << j not in family for j in range(n)):

@@ -18,7 +18,7 @@ from .ratlin import QVec, solve_linear, solve_nonneg
 from .ratlin import _with_combinations
 from .spanset import (
     VecSet,
-    _independent_walk,
+    _independent_sets,
     _mask,
     _members,
     _memoized,
@@ -116,17 +116,14 @@ def enumerate_simplices(X: VecSet) -> SimplexSet:
     sign.  A larger independent set gives its extra member coefficient 0.
     """
     d = X.dim
-    found: list[Simplex] = []
-
-    def visit(members, residuals):
+    simplices: SimplexSet = []
+    for members, residuals in _independent_sets(X, _with_combinations(X), X.rank()):
         for j in range(members[-1] + 1, len(X)) if members else ():
             head, tail = residuals[j][:d], residuals[j][d:]
             if not any(head) and all(tail[i] * tail[j] > 0 for i in members):
                 C = members + (j,)
-                found.append(Simplex(C, {i: Fraction(tail[i], tail[C[0]]) for i in C}))
-
-    _independent_walk(X, _with_combinations(X), X.rank(), visit)
-    return sorted(found, key=lambda s: s.members)
+                simplices.append(Simplex(C, {i: Fraction(tail[i], tail[C[0]]) for i in C}))
+    return sorted(simplices, key=lambda s: s.members)
 
 
 @_memoized

@@ -264,19 +264,19 @@ def caratheodory_reduce(x: QVec, X: VecSet) -> SpanPoint:
 # skeleton and core
 
 
-def _independent_walk(X: VecSet, rows, size: int, visit, members=()) -> None:
-    """Call ``visit(members, residuals)`` on each independent subset of X
-    of at most ``size`` elements, depth first in lexicographic order.
+def _independent_sets(X: VecSet, rows, size: int, members=()):
+    """Yield ``(members, residuals)`` for each independent subset of X of
+    at most ``size`` elements, depth first in lexicographic order.
 
     ``rows`` holds one integer row per vector, its first ``X.dim`` entries
     the vector, reduced against an echelon form of ``members`` (none at the
-    top call); these residuals are what ``visit`` gets.  A residual with a
-    nonzero head extends the set, a zero one lies in its span.  Rows past
-    ``len(X)`` are reduced alike but never chosen as members.  The walk
-    recurses through this module-level function, not a closure, so a
-    finished walk leaves no reference cycle behind.
+    top call); these are the residuals yielded.  A residual with a nonzero
+    head extends the set, a zero one lies in its span.  Rows past
+    ``len(X)`` are reduced alike but never chosen as members.  A subset's
+    extensions are reduced only when the walk is resumed past it, so a
+    caller that stops early pays for no more.
     """
-    visit(members, rows)
+    yield members, rows
     if len(members) == size:
         return
     for j in range(members[-1] + 1 if members else 0, len(X)):
@@ -284,7 +284,7 @@ def _independent_walk(X: VecSet, rows, size: int, visit, members=()) -> None:
         pc = next((c for c in range(X.dim) if row[c]), None)
         if pc is not None:
             reduced = [_eliminate(v, row, pc) for v in rows]
-            _independent_walk(X, reduced, size, visit, members + (j,))
+            yield from _independent_sets(X, reduced, size, members + (j,))
 
 
 def skeleton_contains(p: QVec, X: VecSet) -> bool:
@@ -295,24 +295,21 @@ def skeleton_contains(p: QVec, X: VecSet) -> bool:
     coefficients there.  One walk to that depth reduces p's row, put last;
     where its head is zero, its tail t gives p = -sum(t_i / t_p x_i),
     and p is in the skeleton iff t_i t_p <= 0 on every member of some such
-    set.  The first such certificate is re-checked by multiplication.
+    set.  The walk stops at the first such certificate, which is re-checked
+    by multiplication.
     """
     if p.dim != X.dim:
         raise DimensionMismatchError("point dimension mismatch")
     if (r := X.rank()) == 0:
         return False
     d = X.dim
-    found: list[dict[int, Fraction]] = []
-
-    def visit(members, residuals):
+    for members, residuals in _independent_sets(X, _with_combinations([*X, p]), r - 1):
         t = residuals[-1]  # p's row: t[-1] is its own tail entry
-        if not found and not any(t[:d]) and all(t[d + i] * t[-1] <= 0 for i in members):
-            found.append({i: Fraction(-t[d + i], t[-1]) for i in members})
-
-    _independent_walk(X, _with_combinations([*X, p]), r - 1, visit)
-    if not found:
+        if not any(t[:d]) and all(t[d + i] * t[-1] <= 0 for i in members):
+            break
+    else:
         return False
-    coeffs = found[0]
+    coeffs = {i: Fraction(-t[d + i], t[-1]) for i in members}
     vectors = X.matrix(coeffs)
     if any(c < 0 for c in coeffs.values()) or any(
         _dot([x[k] for x in vectors], coeffs.values()) != p[k] for k in range(d)

@@ -168,13 +168,15 @@ class TestEnumerateMns:
             enumerate_mns(make_cross(2))
 
     def test_finished_walk_leaves_no_cyclic_garbage(self):
-        # the walks are module-level recursions, not self-referencing
-        # closures, so a set, its memo and its frames are freed by reference
-        # counting alone
+        # the walks are generators that hold no reference to themselves, so
+        # a set, its memo and its frames are freed by reference counting
+        # alone, whether the walk runs out ("no") or is abandoned at its
+        # first certificate ("yes")
         runs = [
             lambda: enumerate_mns(make_cross(3)),
             lambda: enumerate_simplices(example_x9()),
             lambda: skeleton_contains(QVec([1, 0, 0]), make_cross(3)),
+            lambda: skeleton_contains(QVec([1, 1, 1]), make_cross(3)),
         ]
         was_enabled = gc.isenabled()
         gc.collect()

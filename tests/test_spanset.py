@@ -65,6 +65,7 @@ from conftest import (
     oracle_is_pss,
     oracle_skeleton_contains,
     positive_rats,
+    small_rats,
     vecsets,
 )
 
@@ -339,6 +340,24 @@ class TestSkeletonCore:
                         bases.append(sub)
                 assert bases, f"core point {p} interior to no basis of {X}"
 
+    @pytest.mark.parametrize("build", [lambda: make_cross(5), example_x9], ids=["cross5", "x9"])
+    def test_member_stops_the_walk_at_its_first_certificate(self, build, monkeypatch):
+        # a member spans a ray of its own: the walk's first step, one
+        # reduction of every row, finds its certificate, and the walk stops
+        X = build()
+        X.rank()  # memoized first, so only the walk's eliminations count
+        calls = count_lp_calls(monkeypatch, names=("_eliminate",))
+        assert skeleton_contains(X[0], X)
+        assert len(calls) <= len(X) + 1
+
+    def test_no_answer_walks_every_independent_set_once(self, monkeypatch):
+        # a "no" has no certificate to stop at: the full walk, and no more
+        X = make_cross(5)
+        X.rank()
+        calls = count_lp_calls(monkeypatch, names=("_eliminate",))
+        assert not skeleton_contains(QVec([1] * 5), X)
+        assert len(calls) == 2310
+
 
 class TestSkeletonOracle:
     @staticmethod
@@ -371,6 +390,20 @@ class TestSkeletonOracle:
         for v, w in zip(X, weights):
             p = p + v.scale(w)
         assert skeleton_contains(p, X) == self.brute_skeleton(p, X)
+
+    @settings(max_examples=40, deadline=None)
+    @given(vecsets(max_dim=3, max_size=6), st.data())
+    def test_early_exit_matches_all_flats_oracle(self, X, data):
+        # a nonnegative combination of a random subset puts "yes" answers
+        # at every depth of the walk; a random point mostly answers "no"
+        if data.draw(st.booleans()):
+            chosen = data.draw(st.sets(st.sampled_from(list(X.indices()))))
+            p = QVec.zero(X.dim)
+            for i in sorted(chosen):
+                p = p + X[i].scale(data.draw(positive_rats))
+        else:
+            p = QVec(data.draw(st.lists(small_rats, min_size=X.dim, max_size=X.dim)))
+        assert skeleton_contains(p, X) == oracle_skeleton_contains(p, X)
 
 
 def _seeded_sets():
@@ -418,8 +451,7 @@ class TestProperFlatsOracle:
         for X in (example_x9(), make_cross(3), random_positive_basis(4, 2, 0)):
             plain = [_primitive(v) for v in X]
             start = plain if rows == "plain" else _with_combinations(X)
-            seen = []
-            spanset._independent_walk(X, start, X.rank(), lambda m, _: seen.append(m))
+            seen = [m for m, _ in spanset._independent_sets(X, start, X.rank())]
             want = [
                 c
                 for k in range(X.rank() + 1)
