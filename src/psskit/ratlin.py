@@ -8,7 +8,8 @@ over the integers and creates a ``fractions.Fraction`` only for the
 entries it returns.  Feasibility questions are decided by a phase-I
 simplex method with Bland's anti-cycling rule, which makes every answer
 deterministic and returns an explicit certificate that can be re-checked
-by multiplication.  ``Fraction`` arithmetic remains only in its pivots
+by multiplication; a free coordinate is priced in both signs from one
+stored column.  ``Fraction`` arithmetic remains only in its pivots
 (the ratio test and the row updates): the simplex's initial cost row,
 every dot product and every certificate re-check is one ``_dot``, which
 adds the products over a common denominator in plain ints and makes one
@@ -23,6 +24,7 @@ from .errors import DimensionMismatchError, PropertyViolation, ZeroVectorError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 def _to_rat(value) -> Fraction:
@@ -279,21 +281,24 @@ def solve_linear(columns, rhs) -> list[Fraction] | None:
 # Phase-I simplex
 
 
-def _phase_one(rows: list[list[Fraction]], rhs: list[Fraction], n: int):
+def _phase_one(rows: list[list[Fraction]], rhs: list[Fraction], n: int, free: int = 0):
     """Find x >= 0 with ``sum_j rows[i][j] x_j = rhs[i]`` for every i, else None.
 
-    Phase-I simplex over exact rationals.  The tableau holds the n real
+    Phase-I simplex over exact rationals.  The tableau holds the n stored
     columns and the right-hand side, plus a bottom row of reduced costs and
     minus the objective (the sum of the artificials), which every pivot
     updates like any other row, in place and only on the pivot row's
     nonzero columns: the others would subtract zero, so the values and
-    Bland's pivot path are those of a full-row update.  The artificials are
-    basis labels n..n+m-1 only: an artificial never needs to re-enter, since
-    once no real reduced cost is negative, a positive objective proves
-    infeasibility and a zero objective leaves only degenerate pivots, which
-    do not move x.  Bland's rule: the entering column is the lowest-index
-    negative reduced cost, the leaving row is the minimum ratio with ties
-    broken by lowest basic label.
+    Bland's pivot path are those of a full-row update.  The first ``free``
+    columns are free coordinates: column k stands for u_k (label k) and
+    v_k = -u_k (label free + k), whose column each row operation keeps at
+    minus column k, so it is not stored; any other column j has label
+    j + free, and x is indexed by labels.  The artificials are labels
+    n+free.. only: an artificial never needs to re-enter, since once no real
+    reduced cost is negative, a positive objective proves infeasibility and
+    a zero objective leaves only degenerate pivots, which do not move x.
+    Bland's rule: the entering label is the lowest with a negative reduced
+    cost, the leaving row the minimum ratio, ties to the lowest basic label.
     """
     T = [
         list(row) + [b] if b >= 0 else [-v for v in row] + [-b]
@@ -302,12 +307,21 @@ def _phase_one(rows: list[list[Fraction]], rhs: list[Fraction], n: int):
     m = len(T)
     minus = (-1,) * m
     T.append([_dot(col, minus) for col in zip(*T)] if T else [_ZERO] * (n + 1))
-    basis = list(range(n, n + m))
-    while (enter := next((j for j in range(n) if T[m][j] < 0), None)) is not None:
+    cost = T[m]
+    basis = list(range(n + free, n + free + m))
+
+    def labels():  # the labels with a negative reduced cost, lowest first
+        yield from (k for k in range(free) if cost[k] < 0)
+        yield from (free + k for k in range(free) if cost[k] > 0)
+        yield from (j + free for j in range(free, n) if cost[j] < 0)
+
+    while (enter := next(labels(), None)) is not None:
+        k = enter if enter < free else enter - free  # its stored column
+        col = [-row[k] for row in T] if k < free <= enter else [row[k] for row in T]
         leave = None
         best = None
         for i in range(m):
-            a = T[i][enter]
+            a = col[i]
             if a > 0:
                 ratio = T[i][-1] / a
                 if (
@@ -320,23 +334,23 @@ def _phase_one(rows: list[list[Fraction]], rhs: list[Fraction], n: int):
         if leave is None:  # objective is bounded below by 0, cannot happen
             raise PropertyViolation("phase-I simplex detected unboundedness")
         prow = T[leave]
-        piv = prow[enter]
+        piv = col[leave]
         cols = [j for j, v in enumerate(prow) if v]
         if piv != 1:
             for j in cols:
                 prow[j] /= piv
         for i, row in enumerate(T):
-            f = row[enter]
+            f = col[i]
             if f and i != leave:
                 for j in cols:
                     row[j] -= f * prow[j]
         basis[leave] = enter
 
-    if T[m][-1] != 0:
+    if cost[-1] != 0:
         return None
-    x = [_ZERO] * n
+    x = [_ZERO] * (n + free)
     for i in range(m):
-        if basis[i] < n:
+        if basis[i] < n + free:
             x[basis[i]] = T[i][-1]
     return x
 
@@ -363,8 +377,8 @@ def strict_separator(vectors) -> FeasWitness:
 
     Since the constraint set is a homogeneous cone, z.x >= 1 for all x is
     equivalent to the existence of a vector with z.x > 0 for all x.  The
-    search is an exact phase-I feasibility problem in z = u - v, u, v >= 0
-    with one surplus variable per input vector.
+    search is a phase-I problem on the tableau [x | -I], with z free (priced
+    as z = u - v, u, v >= 0) and one surplus variable per input vector.
     """
     vectors, d = _columns(vectors)
     for i, x in enumerate(vectors):
@@ -372,10 +386,10 @@ def strict_separator(vectors) -> FeasWitness:
             raise ZeroVectorError(f"vector {i} is zero: no strict separator", index=i)
     m = len(vectors)
     rows = [
-        list(x) + [-v for v in x] + [-_ONE if k == i else _ZERO for k in range(m)]
+        list(x) + [_MINUS_ONE if k == i else _ZERO for k in range(m)]
         for i, x in enumerate(vectors)
     ]
-    x = _phase_one(rows, [_ONE] * m, 2 * d + m)
+    x = _phase_one(rows, [_ONE] * m, d + m, free=d)
     if x is None:
         return FeasWitness.infeasible()
     z = QVec(x[k] - x[d + k] for k in range(d))

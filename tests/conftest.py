@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from psskit import QVec, VecSet
-from psskit.ratlin import kernel_basis, solve_nonneg
+from psskit.ratlin import FeasWitness, _phase_one, kernel_basis, solve_nonneg
 
 small_rats = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4
@@ -290,6 +290,21 @@ def oracle_phase_one(columns, rhs) -> tuple[list[Fraction] | None, bool]:
         if basis[i] < n:
             x[basis[i]] = T[i][-1]
     return x, reentered
+
+
+def oracle_strict_separator(vectors) -> FeasWitness:
+    """``ratlin.strict_separator`` on the split tableau [x | -x | -I] for
+    z = u - v, as it ran before ``_phase_one`` priced the free coordinates
+    in both signs: the mirrored block is stored and updated like any other
+    column."""
+    vectors = [QVec(v) for v in vectors]
+    d, m = (len(vectors[0]) if vectors else 0), len(vectors)
+    surplus = [[Fraction(-int(k == i)) for k in range(m)] for i in range(m)]
+    rows = [list(x) + [-v for v in x] + s for x, s in zip(vectors, surplus)]
+    x = _phase_one(rows, [Fraction(1)] * m, 2 * d + m)
+    if x is None:
+        return FeasWitness.infeasible()
+    return FeasWitness.of_separator(QVec(x[k] - x[d + k] for k in range(d)))
 
 
 @lru_cache(maxsize=64)

@@ -505,8 +505,8 @@ class TestExitCodes:
 
         exact = ratlin._phase_one
 
-        def perturbed(rows, rhs, n):
-            x = exact(rows, rhs, n)
+        def perturbed(rows, rhs, n, free=0):
+            x = exact(rows, rhs, n, free=free)
             return [x[0] + 1, *x[1:]] if x is not None and hit(rhs) else x
 
         monkeypatch.setattr(ratlin, "_phase_one", perturbed)

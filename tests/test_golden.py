@@ -19,6 +19,11 @@ simplex dependencies in simplex order, where a repair loop used to patch
 the kernel basis.  On these three sets the printed basis and Gale points
 change; on the other six sets of the corpus they do not.
 
+``rpb631`` joined the corpus later, the first set with d >= 5, where the
+separator LP's mirrored -x block was widest; its digests were recorded
+with that block still stored, before ``_phase_one`` priced free
+coordinates from one column.
+
 ``PYTHONPATH=src python tests/test_golden.py`` prints the current
 ``GOLDEN`` table in this file's format.  Re-record a digest only for a
 declared change of output.
@@ -73,6 +78,8 @@ CORPUS = {
     # a pointed set: it does not positively span its hull
     "pointed": lambda: VecSet(3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1], [2, 1, 1]]),
     "scaled16": _scaled_basis,
+    # 9 vectors in R^6: overlapping simplices of sizes 3, 5 and 5, 13 frames
+    "rpb631": lambda: random_positive_basis(6, 3, 1),
 }
 
 
@@ -162,6 +169,14 @@ GOLDEN = {
     ("scaled16", "gale"): "aecbde5d24168de9",
     ("scaled16", "reay"): "4792bf3a66f08117",
     ("scaled16", "verify"): "53492b4dbdc8db01",
+    ("rpb631", "analyze"): "9619534537e79c5f",
+    ("rpb631", "simplices"): "04accd3f6d3b2de2",
+    ("rpb631", "lattice"): "94c5473f93d32970",
+    ("rpb631", "mns"): "5afff5bdf7743683",
+    ("rpb631", "cones"): "6471372e082c9767",
+    ("rpb631", "gale"): "1ce6a38280ca7f39",
+    ("rpb631", "reay"): "cec8c4608000ba20",
+    ("rpb631", "verify"): "3da8169bbc6168bb",
 }
 
 

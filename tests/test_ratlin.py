@@ -6,7 +6,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psskit import QVec, kernel_basis, rank, ratlin, solve_nonneg, strict_separator
+from psskit import (
+    QVec,
+    conical,
+    enumerate_mns,
+    kernel_basis,
+    make_cross,
+    make_simplex,
+    random_positive_basis,
+    rank,
+    ratlin,
+    solve_nonneg,
+    strict_separator,
+)
 from psskit.errors import DimensionMismatchError, PropertyViolation, ZeroVectorError
 from psskit.ratlin import _dot, _phase_one, _reduce, _with_combinations, solve_linear
 
@@ -15,6 +27,7 @@ from conftest import (
     oracle_phase_one,
     oracle_rank,
     oracle_rref,
+    oracle_strict_separator,
     small_rats,
     vecsets,
 )
@@ -270,29 +283,130 @@ class TestPhaseOneOracle:
         assert reentries[False] >= 3
 
     def test_sparse_separator_tableaux_are_left_unchanged(self):
-        # strict_separator's shape [x | -x | -I] over sparse x, with m up to
-        # 14 rows; a negative right-hand side flips its row, a zero or
-        # positive one keeps it, and the pivots update rows in place
+        # strict_separator's split tableau [x | -x | -I] over sparse x, with
+        # m up to 14 rows, and the same rows stored as [x | -I] with the
+        # first d columns free: x, indexed by labels, is the same, so u_k
+        # and v_k = -u_k take the mirrored block's labels k and d + k.  A
+        # negative right-hand side flips its row, a zero or positive one
+        # keeps it, and the pivots update rows in place
         rng = random.Random(20261019)
-        seen = {"flipped": 0, "kept": 0, True: 0, False: 0}
+        seen = {"flipped": 0, "kept": 0, "u": 0, "v": 0, True: 0, False: 0}
         for _ in range(300):
             m, d = rng.randint(1, 14), rng.randint(1, 6)
             xs = [
                 [F(rng.choice((0, 0, 0, 1, -1, 2))) for _ in range(d)] for _ in range(m)
             ]
-            rows = [
-                x + [-v for v in x] + [F(-1) if k == i else F(0) for k in range(m)]
-                for i, x in enumerate(xs)
-            ]
+            surplus = [[F(-1) if k == i else F(0) for k in range(m)] for i in range(m)]
+            split = [x + [-v for v in x] + s for x, s in zip(xs, surplus)]
+            rows = [x + s for x, s in zip(xs, surplus)]
             rhs = [F(rng.choice((1, 1, 1, 0, -1))) for _ in range(m)]
-            before = copy.deepcopy((rows, rhs))
-            x = _phase_one(rows, rhs, 2 * d + m)
-            assert (rows, rhs) == before
-            assert x == oracle_phase_one([list(c) for c in zip(*rows)], rhs)[0]
+            before = copy.deepcopy((split, rows, rhs))
+            x = _phase_one(split, rhs, 2 * d + m)
+            assert x == oracle_phase_one([list(c) for c in zip(*split)], rhs)[0]
+            assert _phase_one(rows, rhs, d + m, free=d) == x
+            assert (split, rows, rhs) == before
             seen["flipped"] += sum(b < 0 for b in rhs)
             seen["kept"] += sum(b >= 0 for b in rhs)
             seen[x is not None] += 1
+            if x is not None:
+                seen["u"] += any(x[:d])
+                seen["v"] += any(x[d : 2 * d])
         assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize(
+        "rows, rhs, free",
+        [
+            (
+                [
+                    [1, -3, 1, 0, 2, -3, 3, 0],
+                    [2, 3, -2, -2, 1, 3, -1, 0],
+                    [1, 0, -2, -3, 0, 0, -1, 1],
+                ],
+                [1, -1, 2],
+                5,
+            ),
+            (
+                [
+                    [-3, -2, -3, 0, 0, 2, -3],
+                    [3, 2, 2, 1, 2, 3, 0],
+                    [-3, -2, 1, 1, 2, 0, 0],
+                    [-2, -1, 0, 3, -3, 0, 2],
+                ],
+                [2, -1, 0, 0],
+                6,
+            ),
+            (
+                [
+                    [-3, 1, -2, 0, 2, 0, -3],
+                    [3, 1, 2, 1, 2, 3, 3],
+                    [1, 1, 1, -3, 1, 0, 1],
+                    [0, 2, -1, -3, 2, -3, -3],
+                ],
+                [0, -1, -1, -1],
+                7,
+            ),
+        ],
+    )
+    def test_leaving_ties_compare_labels(self, rows, rhs, free):
+        # a ratio tie between the rows of a basic u_k and a basic v_j with
+        # j < k: the lower label u_k leaves, and leaving v_j (the lower
+        # stored column) ends at another x
+        rows = [[F(v) for v in row] for row in rows]
+        rhs = [F(b) for b in rhs]
+        split = [row[:free] + [-v for v in row[:free]] + row[free:] for row in rows]
+        x = _phase_one(rows, rhs, len(rows[0]), free=free)
+        assert x == oracle_phase_one([list(c) for c in zip(*split)], rhs)[0]
+
+
+# the benchmark's verify_bases ladder: random positive bases drawn with
+# seed 0, crosses and simplices
+_LADDER = [
+    *(
+        pytest.param(lambda d=d, n=n: random_positive_basis(d, n, 0), id=f"random{d}{n}")
+        for d, n in ((4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3), (6, 1))
+    ),
+    *(pytest.param(lambda d=d: make_cross(d), id=f"cross{d}") for d in (3, 4)),
+    *(pytest.param(lambda d=d: make_simplex(d), id=f"simplex{d}") for d in (5, 6)),
+]
+
+
+class TestFreeCoordinateSeparator:
+    """``strict_separator`` on [x | -I] against the split tableau."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(vecsets(max_dim=4, max_size=6))
+    def test_equals_the_split_tableau(self, X):
+        vectors = list(X.vectors)
+        assert strict_separator(vectors) == oracle_strict_separator(vectors)
+
+    @pytest.mark.parametrize("build", _LADDER)
+    def test_every_frame_lp_of_the_ladder(self, build, monkeypatch):
+        # each walk LP of enumerate_mns: the same kind and separator as the
+        # split tableau, from one tableau of d + m stored columns, where
+        # the split tableau stores 2d + m
+        asked = []
+
+        def recorded(vectors):
+            asked.append(vectors)
+            return strict_separator(vectors)
+
+        monkeypatch.setattr(conical, "strict_separator", recorded)
+        X = build()
+        enumerate_mns(X)
+        assert asked
+        exact = ratlin._phase_one
+        widths = []
+
+        def wrapped(rows, rhs, n, free=0):
+            widths.append((n, free, {len(row) for row in rows}))
+            return exact(rows, rhs, n, free=free)
+
+        monkeypatch.setattr(ratlin, "_phase_one", wrapped)
+        for vectors in asked:
+            widths.clear()
+            assert strict_separator(vectors) == oracle_strict_separator(vectors)
+            m = len(vectors)
+            assert widths == [(X.dim + m, X.dim, {X.dim + m})]
 
 
 class TestQVecEntries:
@@ -372,8 +486,8 @@ class TestCertificateRechecks:
     def _perturb(monkeypatch, delta):
         exact = ratlin._phase_one
 
-        def perturbed(rows, rhs, n):
-            x = exact(rows, rhs, n)
+        def perturbed(rows, rhs, n, free=0):
+            x = exact(rows, rhs, n, free=free)
             return [x[0] + delta, *x[1:]]
 
         monkeypatch.setattr(ratlin, "_phase_one", perturbed)
