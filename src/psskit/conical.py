@@ -92,26 +92,35 @@ def _scaled_extension(z: QVec, x: QVec) -> QVec | None:
     return None
 
 
-def _pointed_subsets(X: VecSet, closing: list[list[int]], mask: int, witness: QVec):
-    """Yield ``(mask, witness)``, then every pointed extension of ``mask``
-    by larger indices with its separator, depth first.
+def _frames(
+    X: VecSet, simplices: list[int], closing: list[list[int]], mask: int, witness: QVec
+):
+    """Yield ``(mask, separator)`` for each frame among the pointed
+    extensions of ``mask`` by larger indices, depth first (canonical order).
 
     ``closing[j]`` holds the masks of the simplices whose largest member
     is j: as ``mask`` is simplex-free and below j, these are the only
-    simplices that adding j can complete.
+    simplices that adding j can complete.  So a childless subset is a
+    frame when each smaller non-member completes one of ``simplices``.
     """
-    yield mask, witness
+    childless = True
     for j in range(mask.bit_length(), len(X)):
         grown = mask | 1 << j
         if any(s & ~grown == 0 for s in closing[j]):
             continue
+        childless = False
         w = _scaled_extension(witness, X[j])
         if w is None:
             res = strict_separator([X[i] for i in _members(grown)])
             if res.kind != "separator":
                 raise PropertyViolation("simplex-free subset without a strict separator")
             w = res.separator
-        yield from _pointed_subsets(X, closing, grown, w)
+        yield from _frames(X, simplices, closing, grown, w)
+    if childless and all(
+        mask >> j & 1 or any(s & ~mask == 1 << j for s in simplices)
+        for j in range(mask.bit_length())
+    ):
+        yield mask, witness
 
 
 @_memoized
@@ -123,21 +132,14 @@ def enumerate_mns(X: VecSet) -> list[ConeFrame]:
     nonnegative dependency holds a positive circuit), so the memoized
     simplex masks decide which extensions are pruned, with no LP.  A
     simplex-free extension rescales its parent's separator when it can and
-    otherwise asks one LP, which must then find a separator.  Maximality
-    is checked element-wise: a member of the family is maximal when no
-    excluded vector keeps it in the family.
+    otherwise asks one LP, which must then find a separator.  The frames
+    are the maximal simplex-free subsets, so the walk yields a subset
+    only when every vector it leaves out completes a simplex with it.
     """
-    n = len(X)
-    closing: list[list[int]] = [[] for _ in range(n)]
-    for s in enumerate_simplices(X):
-        closing[s.members[-1]].append(_mask(s.members))
-    family = dict(_pointed_subsets(X, closing, 0, QVec.zero(X.dim)))
-    frames = []
-    for mask, witness in family.items():
-        if all(mask >> j & 1 or mask | 1 << j not in family for j in range(n)):
-            frames.append(ConeFrame(_members(mask), witness))
-    frames.sort(key=lambda f: f.members)
-    return frames
+    simplices = [_mask(s.members) for s in enumerate_simplices(X)]
+    closing = [[s for s in simplices if s.bit_length() == j + 1] for j in range(len(X))]
+    frames = _frames(X, simplices, closing, 0, QVec.zero(X.dim))
+    return [ConeFrame(_members(mask), witness) for mask, witness in frames]
 
 
 def is_cross(X: VecSet) -> bool:
@@ -288,19 +290,14 @@ def restrict_frames(X: VecSet, Y: VecSet) -> FrameRestriction:
     mapping = [y_frame.get(tr) for tr in traces]
     forward_holds = all(m is not None for m in mapping)
 
-    preimages = []
-    for a in range(len(frames_y)):
-        pre = tuple(k for k, target in enumerate(mapping) if target == a)
-        if not pre:
-            raise PropertyViolation(
-                "frame of the subset has no preimage; the extension "
-                "argument guarantees one"
-            )
-        preimages.append(pre)
-
     by_trace: dict[tuple[int, ...], list[int]] = {}
     for k, tr in enumerate(traces):
         by_trace.setdefault(tr, []).append(k)
+    preimages = [tuple(by_trace.get(f.members, ())) for f in frames_y]
+    if not all(preimages):
+        raise PropertyViolation(
+            "frame of the subset has no preimage; the extension argument guarantees one"
+        )
     masks = [_mask(f.members) for f in frames_x]
     collisions = [
         (k1, k2, X.rank(_members(masks[k1] & masks[k2])))
