@@ -112,7 +112,7 @@ def _frames(
         w = _scaled_extension(witness, X[j])
         if w is None:
             res = strict_separator([X[i] for i in _members(grown)])
-            if res.kind != "separator":
+            if res.separator is None:
                 raise PropertyViolation("simplex-free subset without a strict separator")
             w = res.separator
         yield from _frames(X, simplices, closing, grown, w)
@@ -248,7 +248,7 @@ def max_disjoint_family(X: VecSet) -> list[ConeFrame]:
     for frame in enumerate_mns(X):
         mask = _mask(frame.members)
         meets = (mask & _mask(f.members) for f in kept)
-        if all(m.bit_count() < d or X.rank(_members(m)) < d for m in meets):
+        if all(m.bit_count() < d or X._rank(m) < d for m in meets):
             kept.append(frame)
     if len(kept) > (1 << d):
         raise PropertyViolation("family exceeds 2^d")
@@ -300,7 +300,7 @@ def restrict_frames(X: VecSet, Y: VecSet) -> FrameRestriction:
         )
     masks = [_mask(f.members) for f in frames_x]
     collisions = [
-        (k1, k2, X.rank(_members(masks[k1] & masks[k2])))
+        (k1, k2, X._rank(masks[k1] & masks[k2]))
         for tr in sorted(by_trace)
         for k1, k2 in combinations(by_trace[tr], 2)
     ]

@@ -129,42 +129,32 @@ class QVec:
 class FeasWitness:
     """Outcome of a feasibility question, with a re-checkable certificate.
 
-    Exactly one payload is present:
+    At most one payload is present, and it is the whole answer:
 
-    * ``coefficients`` -- a nonnegative solution, column index -> Fraction
-    * ``separator``    -- a vector z with z.x >= 1 for every input vector
-    * neither          -- the instance is infeasible
+    * ``coeffs``    -- a nonnegative solution, column index -> Fraction
+    * ``separator`` -- a vector z with z.x >= 1 for every input vector
+    * neither       -- the instance is infeasible
+
+    ``kind`` and ``feasible`` are read off the payloads by ``is not None``:
+    the empty solution ``{}`` and the separator ``QVec([])`` are answers.
     """
 
-    kind: str  # "coefficients" | "separator" | "infeasible"
     coeffs: dict[int, Fraction] | None = None
     separator: QVec | None = None
 
     def __post_init__(self):
-        payloads = (self.coeffs is not None, self.separator is not None)
-        expected = {
-            "coefficients": (True, False),
-            "separator": (False, True),
-            "infeasible": (False, False),
-        }
-        if self.kind not in expected or payloads != expected[self.kind]:
-            raise ValueError(f"inconsistent witness: kind={self.kind!r}")
+        if self.coeffs is not None and self.separator is not None:
+            raise ValueError("a witness holds coefficients or a separator, not both")
 
-    @classmethod
-    def coefficients(cls, coeffs: dict[int, Fraction]) -> "FeasWitness":
-        return cls("coefficients", coeffs=dict(coeffs))
-
-    @classmethod
-    def of_separator(cls, z: QVec) -> "FeasWitness":
-        return cls("separator", separator=z)
-
-    @classmethod
-    def infeasible(cls) -> "FeasWitness":
-        return cls("infeasible")
+    @property
+    def kind(self) -> str:
+        if self.coeffs is not None:
+            return "coefficients"
+        return "infeasible" if self.separator is None else "separator"
 
     @property
     def feasible(self) -> bool:
-        return self.kind != "infeasible"
+        return self.coeffs is not None or self.separator is not None
 
 
 # ----------------------------------------------------------------------
@@ -366,10 +356,10 @@ def solve_nonneg(columns, b) -> FeasWitness:
     rows = [[c.entries[i] for c in cols] for i in range(m)]
     x = _phase_one(rows, list(b), len(cols))
     if x is None:
-        return FeasWitness.infeasible()
+        return FeasWitness()
     if any(_dot(row, x) != bi for row, bi in zip(rows, b)):
         raise PropertyViolation("simplex returned an invalid certificate")
-    return FeasWitness.coefficients(dict(enumerate(x)))
+    return FeasWitness(coeffs=dict(enumerate(x)))
 
 
 def strict_separator(vectors) -> FeasWitness:
@@ -391,8 +381,8 @@ def strict_separator(vectors) -> FeasWitness:
     ]
     x = _phase_one(rows, [_ONE] * m, d + m, free=d)
     if x is None:
-        return FeasWitness.infeasible()
+        return FeasWitness()
     z = QVec(x[k] - x[d + k] for k in range(d))
     if any(z.dot(v) < 1 for v in vectors):
         raise PropertyViolation("simplex returned an invalid separator")
-    return FeasWitness.of_separator(z)
+    return FeasWitness(separator=z)

@@ -155,37 +155,36 @@ def factorization_condition(
     for every simplex S: by the modular law span(Y) meet span(S) =
     (span(Y-S) meet span(S)) + span(Y&S), and span(Y-S) lies in span(X-S),
     while Y = X-S is itself a subset.  The subset scan runs only when that
-    identity fails, to report its first witness in scan order.
+    identity fails, to report its first witness in scan order; a scan that
+    finds none contradicts it and raises PropertyViolation.
     """
     simplices = enumerate_simplices(X)
     masks = [_mask(s.members) for s in simplices]
     n = len(X)
-    everything = (1 << n) - 1
-    if not spanning_only and all(
-        X.rank(_members(everything ^ S)) + X.rank(s.members) == X.rank()
-        for s, S in zip(simplices, masks)
-    ):
+    rk, everything = X._rank, (1 << n) - 1
+    if not spanning_only and all(rk(everything ^ S) + rk(S) == rk(everything) for S in masks):
         return FactorizationReport(True)
     if spanning_only:
         subsets = positively_spanning_subsets(X)
     else:
         subsets = (_mask(c) for k in range(n + 1) for c in combinations(range(n), k))
     for Y in subsets:
-        rank_y = X.rank(_members(Y))
         for s, S in zip(simplices, masks):
-            meet, join = X.rank(_members(Y & S)), X.rank(_members(Y | S))
-            if meet + join != rank_y + X.rank(s.members):
+            if rk(Y & S) + rk(Y | S) != rk(Y) + rk(S):
                 return FactorizationReport(False, _members(Y), s)
+    if not spanning_only:
+        raise PropertyViolation("rank identity fails but the subset scan finds no witness")
     return FactorizationReport(True)
 
 
+@_memoized
 def basis_decomposition(X: VecSet) -> BasisDecomposition:
     """Split a full-dimensional positive basis into B and off-basis pairs.
 
     Every simplex of a positive basis owns at least one private element
     (a member of no other simplex); the highest-index private element of
     each simplex is taken as its x_i and the rest as A_i.  All structural
-    invariants are re-checked before returning.
+    invariants are re-checked before returning, once per set.
     """
     _require(X, basis=True, full=True)
     d = X.dim

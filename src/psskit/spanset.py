@@ -100,13 +100,19 @@ class VecSet:
         return None
 
     def rank(self, indices=None) -> int:
-        """The rank of the vectors at ``indices`` (all by default), memoized by mask."""
-        indices = None if indices is None else tuple(indices)  # read a generator once
-        columns = self.matrix(indices)  # each index is checked before the mask
-        key = (1 << len(self)) - 1 if indices is None else _mask(indices)
-        if key not in self._memo:
-            self._memo[key] = rank(columns)
-        return self._memo[key]
+        """The rank of the vectors at ``indices`` (all by default), read by
+        their mask after ``matrix`` checks each index (a generator once)."""
+        if indices is None:
+            return self._rank((1 << len(self)) - 1)
+        self.matrix(indices := tuple(indices))
+        return self._rank(_mask(indices))
+
+    def _rank(self, mask: int) -> int:
+        """The rank of the subset ``mask``, unchecked: the one place a subset
+        rank is computed, once per set and mask, and kept in the memo."""
+        if mask not in self._memo:
+            self._memo[mask] = rank([v for i, v in enumerate(self.vectors) if mask >> i & 1])
+        return self._memo[mask]
 
 
 def _memoized(fn):
@@ -202,7 +208,7 @@ def negatively_independent(X: VecSet) -> FeasWitness:
     dependent subset, exposed by the simplicial module).
     """
     if not X.vectors:  # no constraint: the zero vector of the space separates
-        return FeasWitness.of_separator(QVec.zero(X.dim))
+        return FeasWitness(separator=QVec.zero(X.dim))
     return strict_separator(X.vectors)
 
 

@@ -303,8 +303,8 @@ def oracle_strict_separator(vectors) -> FeasWitness:
     rows = [list(x) + [-v for v in x] + s for x, s in zip(vectors, surplus)]
     x = _phase_one(rows, [Fraction(1)] * m, 2 * d + m)
     if x is None:
-        return FeasWitness.infeasible()
-    return FeasWitness.of_separator(QVec(x[k] - x[d + k] for k in range(d)))
+        return FeasWitness()
+    return FeasWitness(separator=QVec(x[k] - x[d + k] for k in range(d)))
 
 
 @lru_cache(maxsize=64)

@@ -358,6 +358,7 @@ class TestExitCodes:
                 "--scales: bad entry in '1e9' "
                 "(no exponents: write '1e9' as an integer, a decimal or p/q)",
             ),
+            (["antichain", "--dim", "3"], "antichain needs --subsets like '1,2;2,3'"),
         ],
         ids=[
             "subsets-not-int",
@@ -365,6 +366,7 @@ class TestExitCodes:
             "scales-zero-denominator",
             "coeffs-not-rational",
             "scales-exponent",
+            "antichain-without-subsets",
         ],
     )
     def test_malformed_generate_option_is_input_error(self, argv, message, monkeypatch, capsys):
@@ -447,7 +449,7 @@ class TestExitCodes:
         from psskit.ratlin import FeasWitness
 
         monkeypatch.setattr(
-            "psskit.conical.strict_separator", lambda vectors: FeasWitness.infeasible()
+            "psskit.conical.strict_separator", lambda vectors: FeasWitness()
         )
         payload = json.dumps({"dim": 1, "vectors": [["1"], ["-1"]]})
         code, out, err = run_cli(["mns"], payload, monkeypatch, capsys)

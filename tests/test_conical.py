@@ -180,7 +180,7 @@ class TestEnumerateMns:
         self, monkeypatch
     ):
         monkeypatch.setattr(
-            "psskit.conical.strict_separator", lambda vectors: FeasWitness.infeasible()
+            "psskit.conical.strict_separator", lambda vectors: FeasWitness()
         )
         with pytest.raises(PropertyViolation, match="without a strict separator"):
             enumerate_mns(make_cross(2))

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psskit import (
+    FeasWitness,
     QVec,
     conical,
     enumerate_mns,
@@ -450,6 +451,11 @@ class TestQVecEntries:
     def test_integer_decimal_and_ratio_strings(self, entry, value):
         assert QVec([entry]).entries == (value,)
 
+    def test_sum_difference_and_negation(self):
+        u, v = QVec([1, F(1, 2)]), QVec([3, -1])
+        assert u + v == QVec([4, F(-1, 2)])
+        assert u - v == QVec([-2, F(3, 2)]) == u + -v
+
 
 class TestDot:
     @settings(max_examples=300, deadline=None)
@@ -503,6 +509,24 @@ class TestCertificateRechecks:
         self._perturb(monkeypatch, F(-1, 2))
         with pytest.raises(PropertyViolation, match="^simplex returned an invalid separator$"):
             strict_separator([[1, 0], [0, 1]])
+
+
+class TestFeasWitness:
+    def test_both_payloads_are_refused(self):
+        with pytest.raises(ValueError, match="not both"):
+            FeasWitness(coeffs={0: F(1)}, separator=QVec([1]))
+
+    @pytest.mark.parametrize(
+        "witness, kind",
+        [
+            (FeasWitness(coeffs={}), "coefficients"),
+            (FeasWitness(separator=QVec([])), "separator"),
+        ],
+    )
+    def test_empty_payload_is_an_answer(self, witness, kind):
+        # read by ``is not None``: an empty payload is not falsy here
+        assert witness.feasible
+        assert witness.kind == kind
 
 
 class TestStrictSeparator:

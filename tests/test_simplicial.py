@@ -17,8 +17,8 @@ from psskit import (
     reay_partition,
     sxy_classify,
 )
-from psskit import spanset
-from psskit.errors import DimensionMismatchError, PreconditionError
+from psskit import simplicial, spanset
+from psskit.errors import DimensionMismatchError, PreconditionError, PropertyViolation
 from psskit.genlib import (
     AntichainSpec,
     example_x9,
@@ -239,6 +239,26 @@ class TestFactorization:
             verdicts.append(report.ok)
         assert True in verdicts and False in verdicts
         assert not factorization_condition(P).ok
+
+    def test_scan_without_a_witness_is_a_contradiction(self, monkeypatch):
+        # over all subsets the scan runs only once the rank identity has
+        # failed, so a scan that finds no witness must not report ok
+        monkeypatch.setattr(simplicial, "combinations", lambda pool, k: iter(()))
+        with pytest.raises(PropertyViolation, match="no witness"):
+            factorization_condition(example_x9())
+
+    def test_repeated_scan_reads_ranks_by_mask(self, monkeypatch):
+        # every rank of the scan is read from the memo by its mask: a
+        # second scan builds no column tuple at all
+        X = make_cross(4)
+        assert factorization_condition(X, spanning_only=True).ok
+        calls = []
+        original = VecSet.matrix
+        monkeypatch.setattr(
+            VecSet, "matrix", lambda self, *a: calls.append(a) or original(self, *a)
+        )
+        assert factorization_condition(X, spanning_only=True).ok
+        assert calls == []
 
 
 class TestBasisDecomposition:

@@ -262,7 +262,7 @@ class TestCaratheodory:
     def test_dependent_basic_solution_is_an_internal_error(self, monkeypatch):
         # a support that is not linearly independent cannot come from a
         # basic solution; the re-check reports it instead of returning it
-        witness = FeasWitness.coefficients({0: F(1), 1: F(1), 2: F(1)})
+        witness = FeasWitness(coeffs={0: F(1), 1: F(1), 2: F(1)})
         monkeypatch.setattr(spanset, "solve_nonneg", lambda A, b: witness)
         with pytest.raises(PropertyViolation, match="dependent support"):
             caratheodory_reduce(QVec.zero(2), SIMPLEX2)
@@ -301,6 +301,13 @@ class TestSkeletonCore:
 
     def test_origin_in_skeleton(self):
         assert skeleton_contains(QVec.zero(2), SIMPLEX2)
+
+    def test_point_of_another_dimension_is_refused(self):
+        with pytest.raises(DimensionMismatchError):
+            skeleton_contains(QVec([1, 0, 0]), SIMPLEX2)
+
+    def test_empty_set_has_an_empty_skeleton(self):
+        assert not skeleton_contains(QVec([1, 0]), VecSet(2, []))
 
     def test_core_interior_point(self):
         assert core_contains(QVec([1, 1]), SIMPLEX2)

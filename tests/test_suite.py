@@ -95,6 +95,18 @@ def test_suite_rank_count_gate(d, limit, monkeypatch):
     assert len(calls) <= limit
 
 
+def test_suite_builds_the_basis_decomposition_once(monkeypatch):
+    # the decomposition re-checks each off-basis element once per build;
+    # make_cross(3) has three, and both the chain and the frame checks read it
+    calls = []
+    original = simplicial.in_rint_positive_span
+    monkeypatch.setattr(
+        simplicial, "in_rint_positive_span", lambda p, B: calls.append(B) or original(p, B)
+    )
+    assert suite_passed(run_property_suite(make_cross(3)))
+    assert len(calls) == 3
+
+
 def test_suite_builds_the_union_closure_once(monkeypatch):
     # The spanning-only factorization scan and the lattice check share one
     # memoized closure; a build is one read of the simplices from inside it.
