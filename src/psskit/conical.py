@@ -8,14 +8,23 @@ positively spanning set into at most 2^d pointed parts, and relates the
 frames of a set to the frames of a positively spanning subset.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .errors import PreconditionError, PropertyViolation
-from .ratlin import QVec, solve_nonneg, strict_separator
-from .simplicial import enumerate_simplices, is_simplex
-from .spanset import VecSet, _mask, _members, _memoized, _require, extract_positive_basis
+from .ratlin import QVec, solve_linear, solve_nonneg, strict_separator
+from .simplicial import basis_decomposition, enumerate_simplices, is_simplex
+from .spanset import (
+    VecSet,
+    _mask,
+    _members,
+    _memoized,
+    _require,
+    extract_positive_basis,
+    is_positive_basis,
+)
 
 _ONE = Fraction(1)
 
@@ -92,8 +101,55 @@ def _scaled_extension(z: QVec, x: QVec) -> QVec | None:
     return None
 
 
+def _basis_separator(X: VecSet) -> Callable[[int], QVec | None]:
+    """The separator of each simplex-free subset of a full-rank positive
+    basis X, in closed form from its basis decomposition, with no LP.
+
+    Each simplex A_i + {x_i} meets the linear basis B in A_i, and its
+    dependency gives x_i = -sum(c_ia b_a) over A_i with c_ia = l_a / l_x_i
+    > 0.  A simplex-free F leaves some a in A_i out whenever x_i is in F,
+    so the z with z.b_a = 1 on F & B and -M on B - F, where
+    M = 1 + max over x_i in F of sum(c_ia, a in A_i & F) / min(c_ia, a in
+    A_i - F), has z.x_i >= min(c_ia, a in A_i - F) > 0.  That z is
+    (1 + M) R_F - M R_B, where R_F and R_B sum the rows of B^(-T) over
+    F & B and over B; the rows are solved for once per set.  Every product
+    z.x over F is re-checked: the least must be positive, and z is scaled
+    by it, so that the least is exactly 1, the ``strict_separator``
+    contract.  A subset whose re-check fails gets None.
+    """
+    basis = basis_decomposition(X)
+    B = basis.basis
+    columns = [[X[a][k] for a in B] for k in range(X.dim)]  # B^T's columns
+    dual = {a: solve_linear(columns, [int(a == b) for b in B]) for a in B}
+    r_b = [sum(col) for col in zip(*dual.values())]
+    coeffs = [
+        (x, {a: s.dependency[a] / s.dependency[x] for a in support})
+        for (x, support), s in zip(basis.pairs, enumerate_simplices(X))
+    ]
+
+    def separate(mask: int) -> QVec | None:
+        m = _ONE
+        for x, c in coeffs:
+            if mask >> x & 1:
+                held = sum(v for a, v in c.items() if mask >> a & 1)
+                least = min(v for a, v in c.items() if not mask >> a & 1)
+                m = max(m, 1 + held / least)
+        picked = [dual[a] for a in B if mask >> a & 1]
+        r_f = [sum(col) for col in zip(*picked)] if picked else [0] * X.dim
+        z = QVec((1 + m) * f - m * t for f, t in zip(r_f, r_b))
+        low = min(z.dot(X[i]) for i in _members(mask))
+        return z.scale(1 / low) if low > 0 else None
+
+    return separate
+
+
 def _frames(
-    X: VecSet, simplices: list[int], closing: list[list[int]], mask: int, witness: QVec
+    X: VecSet,
+    simplices: list[int],
+    closing: list[list[int]],
+    separate: Callable[[int], QVec | None],
+    mask: int,
+    witness: QVec,
 ):
     """Yield ``(mask, separator)`` for each frame among the pointed
     extensions of ``mask`` by larger indices, depth first (canonical order).
@@ -102,6 +158,8 @@ def _frames(
     is j: as ``mask`` is simplex-free and below j, these are the only
     simplices that adding j can complete.  So a childless subset is a
     frame when each smaller non-member completes one of ``simplices``.
+    A simplex-free extension whose parent's separator does not rescale
+    takes ``separate``'s, which must find one.
     """
     childless = True
     for j in range(mask.bit_length(), len(X)):
@@ -111,11 +169,10 @@ def _frames(
         childless = False
         w = _scaled_extension(witness, X[j])
         if w is None:
-            res = strict_separator([X[i] for i in _members(grown)])
-            if res.separator is None:
+            w = separate(grown)
+            if w is None:
                 raise PropertyViolation("simplex-free subset without a strict separator")
-            w = res.separator
-        yield from _frames(X, simplices, closing, grown, w)
+        yield from _frames(X, simplices, closing, separate, grown, w)
     if childless and all(
         mask >> j & 1 or any(s & ~mask == 1 << j for s in simplices)
         for j in range(mask.bit_length())
@@ -131,14 +188,21 @@ def enumerate_mns(X: VecSet) -> list[ConeFrame]:
     iff it holds no simplex (Gordan's alternative: the support of a
     nonnegative dependency holds a positive circuit), so the memoized
     simplex masks decide which extensions are pruned, with no LP.  A
-    simplex-free extension rescales its parent's separator when it can and
-    otherwise asks one LP, which must then find a separator.  The frames
-    are the maximal simplex-free subsets, so the walk yields a subset
-    only when every vector it leaves out completes a simplex with it.
+    simplex-free extension rescales its parent's separator when it can.
+    Otherwise a full-rank positive basis builds one in closed form from its
+    basis decomposition (``_basis_separator``), and any other set asks one
+    LP; either must find a separator.  The frames are the maximal
+    simplex-free subsets, so the walk yields a subset only when every
+    vector it leaves out completes a simplex with it.
     """
     simplices = [_mask(s.members) for s in enumerate_simplices(X)]
     closing = [[s for s in simplices if s.bit_length() == j + 1] for j in range(len(X))]
-    frames = _frames(X, simplices, closing, 0, QVec.zero(X.dim))
+    separate = (
+        _basis_separator(X)
+        if X.rank() == X.dim and is_positive_basis(X)
+        else lambda mask: strict_separator([X[i] for i in _members(mask)]).separator
+    )
+    frames = _frames(X, simplices, closing, separate, 0, QVec.zero(X.dim))
     return [ConeFrame(_members(mask), witness) for mask, witness in frames]
 
 

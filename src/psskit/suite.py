@@ -161,10 +161,14 @@ def _check_max_family(X: VecSet) -> tuple[bool, str]:
 
 
 def _check_frame_rank(X: VecSet) -> tuple[bool, str]:
+    # each witness is re-checked by multiplication, whichever route built it
     r = X.rank()
     for frame in enumerate_mns(X):
         if X.rank(frame.members) != r:
             return False, f"frame {frame.members} spans below rank {r}"
+        below = [i for i in frame.members if frame.witness.dot(X[i]) < 1]
+        if below:
+            return False, f"frame {frame.members}: witness below 1 on {below[0]}"
     return True, "every maximal frame spans the hull"
 
 

@@ -12,7 +12,7 @@ from psskit import cli
 from psskit.cli import CliInputError, main, parse_vecset, vecset_json
 from psskit import VecSet
 from psskit.errors import VectorInputError
-from psskit.genlib import example_x9, make_cross
+from psskit.genlib import example_x9, make_cross, polygon_example
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -445,12 +445,34 @@ class TestExitCodes:
 
     def test_frame_walk_without_separator_exits_three(self, monkeypatch, capsys):
         # a simplex-free extension always has a separator; an LP that says
-        # otherwise is a bug, not a pruned branch
+        # otherwise is a bug, not a pruned branch.  [1] = [2] / 2 makes
+        # the set positively dependent, so its walk asks the LP
         from psskit.ratlin import FeasWitness
 
         monkeypatch.setattr(
             "psskit.conical.strict_separator", lambda vectors: FeasWitness()
         )
+        payload = json.dumps({"dim": 1, "vectors": [["1"], ["2"], ["-1"]]})
+        code, out, err = run_cli(["mns"], payload, monkeypatch, capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: simplex-free subset without a strict separator\n"
+
+    @staticmethod
+    def _negate_dual_rows(monkeypatch):
+        """Negate the rows of B^(-T) that a positive basis builds its
+        frame separators from, so every closed-form witness fails its
+        re-check."""
+        from psskit.ratlin import solve_linear
+
+        monkeypatch.setattr(
+            "psskit.conical.solve_linear",
+            lambda columns, rhs: [-c for c in solve_linear(columns, rhs)],
+        )
+
+    def test_closed_form_walk_without_separator_exits_three(self, monkeypatch, capsys):
+        # the R^1 cross is a positive basis: no LP, the same internal error
+        self._negate_dual_rows(monkeypatch)
         payload = json.dumps({"dim": 1, "vectors": [["1"], ["-1"]]})
         code, out, err = run_cli(["mns"], payload, monkeypatch, capsys)
         assert code == 3
@@ -541,13 +563,36 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == "internal error: simplex returned an invalid certificate\n"
 
-    def test_failed_separator_recheck_fails_the_frame_checks(self, monkeypatch, capsys):
-        self._perturb_phase_one(monkeypatch, self._separator_shaped)
-        code, out, err = self._report("verify", make_cross(2), monkeypatch, capsys)
+    def _failed_checks(self, X, monkeypatch, capsys) -> list[dict]:
+        code, out, err = self._report("verify", X, monkeypatch, capsys)
         assert code == 1
+        assert err.startswith("verify: FAIL")
         report = json.loads(out)
         assert len(report["checks"]) == 13
-        failed = [c for c in report["checks"] if c["applicable"] and not c["passed"]]
+        return [c for c in report["checks"] if c["applicable"] and not c["passed"]]
+
+    def test_failed_separator_recheck_fails_the_frame_checks(self, monkeypatch, capsys):
+        # polygon3 is not a positive basis, so its walk asks the LP; its
+        # pointed cover walks a positive basis inside it, with no LP, and
+        # the bounds on positive bases do not apply
+        self._perturb_phase_one(monkeypatch, self._separator_shaped)
+        X = polygon_example(3)
+        failed = self._failed_checks(X, monkeypatch, capsys)
+        assert [c["name"] for c in failed] == [
+            "overlap_family_bound",
+            "frame_full_rank",
+            "frame_simplex_intersections",
+        ]
+        assert {c["detail"] for c in failed} == {"simplex returned an invalid separator"}
+        code, out, err = self._report("mns", X, monkeypatch, capsys)
+        assert (code, out) == (3, "")
+        assert err == "internal error: simplex returned an invalid separator\n"
+
+    def test_failed_closed_form_recheck_fails_the_frame_checks(self, monkeypatch, capsys):
+        # the cross is a positive basis: its closed-form witnesses fail
+        # the five checks that read its frames
+        self._negate_dual_rows(monkeypatch)
+        failed = self._failed_checks(make_cross(2), monkeypatch, capsys)
         assert [c["name"] for c in failed] == [
             "cardinality_bounds",
             "pointed_cover",
@@ -555,10 +600,12 @@ class TestExitCodes:
             "frame_full_rank",
             "frame_simplex_intersections",
         ]
-        assert {c["detail"] for c in failed} == {"simplex returned an invalid separator"}
+        assert {c["detail"] for c in failed} == {
+            "simplex-free subset without a strict separator"
+        }
         code, out, err = self._report("mns", make_cross(2), monkeypatch, capsys)
         assert (code, out) == (3, "")
-        assert err == "internal error: simplex returned an invalid separator\n"
+        assert err == "internal error: simplex-free subset without a strict separator\n"
 
     def test_failed_recheck_deciding_applicability_fails_the_checks_needing_it(
         self, monkeypatch, capsys

@@ -26,7 +26,15 @@ from psskit.genlib import (
     polygon_example,
     random_positive_basis,
 )
-from psskit.ratlin import FeasWitness, QVec, rank, solve_nonneg, strict_separator
+from psskit import conical
+from psskit.ratlin import (
+    FeasWitness,
+    QVec,
+    rank,
+    solve_linear,
+    solve_nonneg,
+    strict_separator,
+)
 from psskit.spanset import (
     extract_positive_basis,
     is_pss,
@@ -144,14 +152,34 @@ class TestEnumerateMns:
     @pytest.mark.parametrize(
         "build, frames, lps",
         [
+            # not positive bases: the walk asks the LP
             (example_x9, 18, 278),
-            (lambda: random_positive_basis(6, 3, 1), 13, 323),
-            (lambda: make_cross(4), 16, 80),
-            (lambda: make_cross(5), 32, 242),
-            (lambda: make_cross(6), 64, 728),
             (lambda: polygon_example(5), 10, 92),
+            # full-rank positive bases: every separator from the basis
+            # decomposition, where the walk asked 323, 80, 242 and 728 LPs
+            (lambda: random_positive_basis(6, 3, 1), 13, 0),
+            (lambda: make_cross(4), 16, 0),
+            (lambda: make_cross(5), 32, 0),
+            (lambda: make_cross(6), 64, 0),
+            # the benchmark's verify_bases ladder, cross 4 above
+            *(
+                (lambda d=d, n=n: random_positive_basis(d, n, 0), frames, 0)
+                for d, n, frames in (
+                    (4, 1, 5), (4, 2, 6), (4, 3, 9), (5, 1, 6), (5, 2, 7), (5, 3, 11), (6, 1, 7)
+                )
+            ),
+            (lambda: make_cross(3), 8, 0),
+            (lambda: make_simplex(5), 6, 0),
+            (lambda: make_simplex(6), 7, 0),
+            # 6,560 and 8,190 LPs on the walk's LP route
+            (lambda: make_cross(8), 256, 0),
+            (lambda: make_simplex(12), 13, 0),
         ],
-        ids=["x9", "rpb631", "cross4", "cross5", "cross6", "polygon5"],
+        ids=[
+            "x9", "polygon5", "rpb631", "cross4", "cross5", "cross6",
+            "random41", "random42", "random43", "random51", "random52", "random53",
+            "random61", "cross3", "simplex5", "simplex6", "cross8", "simplex12",
+        ],
     )
     def test_frame_walk_lp_count(self, build, frames, lps, monkeypatch):
         # the walk's separator LPs on a fresh set, at most today's count;
@@ -161,6 +189,25 @@ class TestEnumerateMns:
         assert len(enumerate_mns(X)) == frames
         assert len(calls) <= lps
         assert all(res.kind == "separator" for res in calls)
+
+    @pytest.mark.parametrize(
+        "d, n, seed",
+        [(d, n, s) for d in range(2, 7) for n in range(1, min(d, 3) + 1) for s in (0, 1, 15)],
+    )
+    def test_closed_form_separators_of_a_positive_basis(self, d, n, seed, monkeypatch):
+        # the member lists are the maximal simplex-free sets, every witness
+        # is scaled to a least product of exactly 1 over its frame, and the
+        # cover assigns each vector as on the LP route
+        X = random_positive_basis(d, n, seed)
+        frames = enumerate_mns(X)
+        assert [f.members for f in frames] == oracle_frames_from_simplices(X)
+        for f in frames:
+            assert min(f.witness.dot(X[i]) for i in f.members) == 1
+        cover = cone_decomposition(X)
+        monkeypatch.setattr(conical, "is_positive_basis", lambda X: False)
+        fresh = VecSet(X.dim, X.vectors)
+        assert [f.members for f in enumerate_mns(fresh)] == [f.members for f in frames]
+        assert cone_decomposition(fresh).assignment == cover.assignment
 
     def test_frame_walk_peak_memory_is_its_output(self):
         # the walk keeps no subset it does not yield, so with the simplices
@@ -179,8 +226,21 @@ class TestEnumerateMns:
     def test_simplex_free_extension_without_separator_is_internal_error(
         self, monkeypatch
     ):
+        # C is not a positive basis, so its walk asks the LP
         monkeypatch.setattr(
             "psskit.conical.strict_separator", lambda vectors: FeasWitness()
+        )
+        with pytest.raises(PropertyViolation, match="without a strict separator"):
+            enumerate_mns(VecSet(2, [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]]))
+
+    def test_closed_form_separator_failing_its_recheck_is_internal_error(
+        self, monkeypatch
+    ):
+        # a positive basis builds its separators from the rows of B^(-T);
+        # negated rows give every member a negative product
+        monkeypatch.setattr(
+            "psskit.conical.solve_linear",
+            lambda columns, rhs: [-c for c in solve_linear(columns, rhs)],
         )
         with pytest.raises(PropertyViolation, match="without a strict separator"):
             enumerate_mns(make_cross(2))

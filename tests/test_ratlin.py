@@ -11,6 +11,7 @@ from psskit import (
     QVec,
     conical,
     enumerate_mns,
+    example_x9,
     kernel_basis,
     make_cross,
     make_simplex,
@@ -380,11 +381,14 @@ class TestFreeCoordinateSeparator:
         vectors = list(X.vectors)
         assert strict_separator(vectors) == oracle_strict_separator(vectors)
 
-    @pytest.mark.parametrize("build", _LADDER)
+    @pytest.mark.parametrize("build", [*_LADDER, pytest.param(example_x9, id="x9")])
     def test_every_frame_lp_of_the_ladder(self, build, monkeypatch):
-        # each walk LP of enumerate_mns: the same kind and separator as the
-        # split tableau, from one tableau of d + m stored columns, where
-        # the split tableau stores 2d + m
+        # each LP of the frame walk's LP route: the same kind and separator
+        # as the split tableau, from one tableau of d + m stored columns,
+        # where the split tableau stores 2d + m.  The ladder's positive
+        # bases take their separators from the basis decomposition, so the
+        # route is forced: its LPs are the simplex-free subsets where the
+        # parent's separator does not rescale.  x9 asks them unforced.
         asked = []
 
         def recorded(vectors):
@@ -392,6 +396,7 @@ class TestFreeCoordinateSeparator:
             return strict_separator(vectors)
 
         monkeypatch.setattr(conical, "strict_separator", recorded)
+        monkeypatch.setattr(conical, "is_positive_basis", lambda X: False)
         X = build()
         enumerate_mns(X)
         assert asked

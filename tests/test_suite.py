@@ -5,7 +5,7 @@ import pytest
 
 from psskit import VecSet, run_property_suite, simplicial, suite_passed
 from psskit.cli import main, vecset_json
-from psskit.conical import enumerate_mns
+from psskit.conical import ConeFrame, enumerate_mns
 from psskit.simplicial import basis_decomposition, enumerate_simplices
 from psskit.genlib import (
     example_x9,
@@ -74,14 +74,29 @@ def test_inapplicable_checks_marked():
 
 def test_suite_lp_count_gate(monkeypatch):
     # Every check reads the input's simplices, frames and flags from one
-    # per-set memo, is_pss is one LP, and the cover assigns the members of
-    # the positive basis without one.  The limit is the count measured
-    # then; it was 2,151 when each check recomputed its structures, and
-    # 411 while the frame walk still asked an LP of extensions holding a
-    # simplex.
+    # per-set memo, is_pss is one LP, the cover assigns the members of the
+    # positive basis without one, and the frame walk takes each separator
+    # of a positive basis from its basis decomposition.  The 21 left are
+    # is_pss, positively_dependent's 9, the 10 Caratheodory reductions and
+    # the trichotomy's separator.  It was 2,151 when each check recomputed
+    # its structures, 411 while the frame walk still asked an LP of
+    # extensions holding a simplex, and 344 while it asked one of every
+    # simplex-free extension its parent's separator did not rescale.
     calls = count_lp_calls(monkeypatch)
     run_property_suite(random_positive_basis(6, 3, 1))
-    assert len(calls) <= 344
+    assert len(calls) <= 21
+
+
+def test_frame_witness_below_one_fails_the_rank_check(monkeypatch):
+    # the suite re-checks every frame witness by multiplication, whichever
+    # route built it: halved witnesses give each member a product of 1/2
+    X = make_cross(3)
+    halved = [ConeFrame(f.members, f.witness.scale("1/2")) for f in enumerate_mns(X)]
+    monkeypatch.setattr("psskit.suite.enumerate_mns", lambda Y: halved)
+    failed = [c for c in run_property_suite(X) if not c.passed]
+    assert [(c.name, c.detail) for c in failed] == [
+        ("frame_full_rank", f"frame {halved[0].members}: witness below 1 on 0")
+    ]
 
 
 @pytest.mark.parametrize("d, limit", [(6, 200), (8, 600)])
