@@ -11,6 +11,7 @@ frames of a set to the frames of a positively spanning subset.
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import PreconditionError, PropertyViolation
@@ -36,8 +37,9 @@ class ConeFrame:
     members: tuple[int, ...]
     witness: QVec
 
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
+    @cached_property  # not a field: ==, hash and repr ignore it
+    def mask(self) -> int:
+        return _mask(self.members)
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,7 @@ def enumerate_mns(X: VecSet) -> list[ConeFrame]:
     simplex-free subsets, so the walk yields a subset only when every
     vector it leaves out completes a simplex with it.
     """
-    simplices = [_mask(s.members) for s in enumerate_simplices(X)]
+    simplices = [s.mask for s in enumerate_simplices(X)]
     closing = [[s for s in simplices if s.bit_length() == j + 1] for j in range(len(X))]
     separate = (
         _basis_separator(X)
@@ -310,8 +312,7 @@ def max_disjoint_family(X: VecSet) -> list[ConeFrame]:
     d = X.dim
     kept: list[ConeFrame] = []
     for frame in enumerate_mns(X):
-        mask = _mask(frame.members)
-        meets = (mask & _mask(f.members) for f in kept)
+        meets = (frame.mask & f.mask for f in kept)
         if all(m.bit_count() < d or X._rank(m) < d for m in meets):
             kept.append(frame)
     if len(kept) > (1 << d):
@@ -362,9 +363,8 @@ def restrict_frames(X: VecSet, Y: VecSet) -> FrameRestriction:
         raise PropertyViolation(
             "frame of the subset has no preimage; the extension argument guarantees one"
         )
-    masks = [_mask(f.members) for f in frames_x]
     collisions = [
-        (k1, k2, X._rank(masks[k1] & masks[k2]))
+        (k1, k2, X._rank(frames_x[k1].mask & frames_x[k2].mask))
         for tr in sorted(by_trace)
         for k1, k2 in combinations(by_trace[tr], 2)
     ]

@@ -7,13 +7,14 @@ member Y to its simplex set embeds the lattice into the powerset of the
 simplices of X, bijectively when X is a positive basis.
 
 The members come from the set's memoized union closure, which the
-factorization scan shares.  Inside, a subset is an int mask with one bit
-per vector: meet, join and complement OR the masks of the simplices an
-element holds, or does not hold.  Elements show sorted index tuples.
+factorization scan shares.  Each element and simplex carries its subset
+as an int mask with one bit per vector: join ORs two element masks, meet
+ORs the simplex masks inside their AND, and complement ORs those not
+inside an element.  Elements show sorted index tuples.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 
 from .errors import PreconditionError
@@ -32,6 +33,10 @@ class LatticeElement:
     subset: tuple[int, ...]
     simplices: tuple[int, ...]
 
+    @cached_property  # not a field: ==, hash and repr ignore it
+    def mask(self) -> int:
+        return _mask(self.subset)
+
 
 class SpanLattice:
     """All positively spanning subsets of one vector set."""
@@ -40,8 +45,8 @@ class SpanLattice:
         self.base = base
         self.all_simplices = simplices
         self.elements: list[LatticeElement] = elements
-        self._masks = [_mask(s.members) for s in simplices]
-        self._by_mask = {_mask(e.subset): e for e in elements}
+        self._masks = [s.mask for s in simplices]
+        self._by_mask = {e.mask: e for e in elements}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -59,26 +64,24 @@ class SpanLattice:
 
     def _require(self, *elements: LatticeElement) -> None:
         for a in elements:
-            if self._by_mask.get(_mask(a.subset)) != a:
+            if self._by_mask.get(a.mask) != a:
                 raise PreconditionError("element does not belong to this lattice")
 
     def meet(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:
         """Union of the simplices contained in the intersection."""
         self._require(a, b)
-        # a simplex lies in the intersection iff it lies in both elements
-        held = (self._masks[j] for j in a.simplices if j in b.simplices)
-        return self._by_mask[reduce(or_, held, 0)]
+        both = a.mask & b.mask
+        return self._by_mask[reduce(or_, (s for s in self._masks if not s & ~both), 0)]
 
     def join(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:
         """Plain union; always a lattice member."""
         self._require(a, b)
-        return self._by_mask[_mask(a.subset + b.subset)]
+        return self._by_mask[a.mask | b.mask]
 
     def complement(self, a: LatticeElement) -> LatticeElement:
         """Union of all simplices not contained in the element."""
         self._require(a)
-        rest = (m for j, m in enumerate(self._masks) if j not in a.simplices)
-        return self._by_mask[reduce(or_, rest, 0)]
+        return self._by_mask[reduce(or_, (s for s in self._masks if s & ~a.mask), 0)]
 
     @property
     def bottom(self) -> LatticeElement:
@@ -99,7 +102,7 @@ def build_lattice(X: VecSet) -> SpanLattice:
     """
     _require(X)
     simplices = enumerate_simplices(X)
-    masks = [_mask(s.members) for s in simplices]
+    masks = [s.mask for s in simplices]
     elements = [
         LatticeElement(_members(m), tuple(j for j, s in enumerate(masks) if s & ~m == 0))
         for m in positively_spanning_subsets(X)

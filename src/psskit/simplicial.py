@@ -11,6 +11,7 @@ dimensions and the swap trichotomy implemented below.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import PreconditionError, PropertyViolation
@@ -45,8 +46,9 @@ class Simplex:
     def __contains__(self, i: int) -> bool:
         return i in self.dependency
 
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
+    @cached_property  # not a field: ==, hash and repr ignore it
+    def mask(self) -> int:
+        return _mask(self.members)
 
 
 SimplexSet = list[Simplex]
@@ -136,8 +138,7 @@ def positively_spanning_subsets(X: VecSet) -> list[int]:
     size, then by member tuple.
     """
     unions = {0}
-    for s in enumerate_simplices(X):
-        m = _mask(s.members)
+    for m in [s.mask for s in enumerate_simplices(X)]:
         unions.update([u | m for u in unions])
     return sorted(unions, key=lambda u: (u.bit_count(), _members(u)))
 
@@ -159,7 +160,7 @@ def factorization_condition(
     finds none contradicts it and raises PropertyViolation.
     """
     simplices = enumerate_simplices(X)
-    masks = [_mask(s.members) for s in simplices]
+    masks = [s.mask for s in simplices]
     n = len(X)
     rk, everything = X._rank, (1 << n) - 1
     if not spanning_only and all(rk(everything ^ S) + rk(S) == rk(everything) for S in masks):
@@ -216,10 +217,8 @@ def basis_decomposition(X: VecSet) -> BasisDecomposition:
         for j, (_, a_j) in enumerate(pairs):
             if i != j and set(a_i) <= set(a_j):
                 raise PropertyViolation("supports fail the antichain property")
-    bset = set(basis)
-    for s in simplices:
-        if len(bset.intersection(s.members)) != len(s.members) - 1:
-            raise PropertyViolation("a simplex misses the basis in two elements")
+    if any((s.mask & ~_mask(basis)).bit_count() != 1 for s in simplices):
+        raise PropertyViolation("a simplex misses the basis in two elements")
     return BasisDecomposition(basis, tuple(pairs))
 
 
@@ -291,10 +290,8 @@ def sxy_classify(S: VecSet, y: QVec) -> SwapReport:
 
     extended = VecSet(S.dim, list(S.vectors) + [y])
     base_rank = S.rank()
-    all_full = all(
-        extended.rank(r.members) == base_rank
-        for r in enumerate_simplices(extended)
-    )
+    simplices = enumerate_simplices(extended)
+    all_full = all(extended._rank(r.mask) == base_rank for r in simplices)
 
     neg_outside = not skeleton_contains(-y, S)
     return SwapReport(exists_swap, all_full, neg_outside)

@@ -35,7 +35,6 @@ from .spanset import (
     _mask,
     _members,
     caratheodory_reduce,
-    in_rint_positive_span,
     is_positive_basis,
     is_pss,
     positively_dependent,
@@ -55,8 +54,8 @@ class SuiteCheck:
 
 def _check_gen_equivalence(X: VecSet) -> tuple[bool, str]:
     pss = is_pss(X)
-    covered = reduce(or_, (_mask(s.members) for s in enumerate_simplices(X)), 0)
-    union = covered == _mask(X.indices())
+    covered = reduce(or_, (s.mask for s in enumerate_simplices(X)), 0)
+    union = covered == (1 << len(X)) - 1
     return pss == union, f"pss={pss} simplex_union={union}"
 
 
@@ -67,13 +66,14 @@ def _check_trichotomy(X: VecSet) -> tuple[bool, str]:
 
 
 def _check_simplex_members(X: VecSet) -> tuple[bool, str]:
+    # over its independent remainder, -x_z has the unique coordinates l_i / l_z
     for s in enumerate_simplices(X):
         for z in s.members:
-            rest = [i for i in s.members if i != z]
-            sub = X.subset(rest)
-            if sub.rank() != len(rest):
+            if X._rank(s.mask & ~(1 << z)) != len(s.members) - 1:
                 return False, f"simplex {s.members}: removing {z} leaves dependence"
-            if not in_rint_positive_span(-X[z], sub):
+            coords = {i: c / s.dependency[z] for i, c in s.dependency.items() if i != z}
+            rebuilt = sum((X[i].scale(c) for i, c in coords.items()), X[z])
+            if any(c <= 0 for c in coords.values()) or not rebuilt.is_zero():
                 return False, f"simplex {s.members}: {z} not interior over the rest"
     return True, "every member interior over an independent remainder"
 
@@ -108,9 +108,9 @@ def _check_main_bounds(X: VecSet) -> tuple[bool, str]:
 
 def _check_lattice(X: VecSet) -> tuple[bool, str]:
     lattice = build_lattice(X)
-    masks = [_mask(s.members) for s in lattice.all_simplices]
+    masks = [s.mask for s in lattice.all_simplices]
     for a in lattice:
-        if _mask(a.subset) != reduce(or_, (masks[j] for j in a.simplices), 0):
+        if a.mask != reduce(or_, (masks[j] for j in a.simplices), 0):
             return False, f"element {a.subset} is not the union of its simplices"
     basis = is_positive_basis(X)
     expected = 1 << len(lattice.all_simplices)
@@ -118,10 +118,9 @@ def _check_lattice(X: VecSet) -> tuple[bool, str]:
         return False, f"positive basis lattice has {len(lattice)} != {expected}"
     for a in lattice:
         for b in lattice:
-            A, B = _mask(a.subset), _mask(b.subset)
-            if _mask(lattice.meet(a, b).subset) & ~(A & B):
+            if lattice.meet(a, b).mask & ~(a.mask & b.mask):
                 return False, "meet escapes the intersection"
-            if _mask(lattice.join(a, b).subset) != A | B:
+            if lattice.join(a, b).mask != a.mask | b.mask:
                 return False, "join is not the union"
     if basis:
         for a in lattice:
@@ -164,7 +163,7 @@ def _check_frame_rank(X: VecSet) -> tuple[bool, str]:
     # each witness is re-checked by multiplication, whichever route built it
     r = X.rank()
     for frame in enumerate_mns(X):
-        if X.rank(frame.members) != r:
+        if X._rank(frame.mask) != r:
             return False, f"frame {frame.members} spans below rank {r}"
         below = [i for i in frame.members if frame.witness.dot(X[i]) < 1]
         if below:
@@ -181,8 +180,8 @@ def _check_maxind(X: VecSet) -> tuple[bool, str]:
     # pairwise disjoint (a missing member completes only that simplex).
     # With overlapping simplices a frame may miss two members, as on
     # random_positive_basis(6, 3, 15) and on every frame of x9.
-    simplices = [_mask(s.members) for s in enumerate_simplices(X)]
-    frames = [(f.members, _mask(f.members)) for f in enumerate_mns(X)]
+    simplices = [s.mask for s in enumerate_simplices(X)]
+    frames = [(f.members, f.mask) for f in enumerate_mns(X)]
     for members, fs in frames:
         held = next((s for s in simplices if not s & ~fs), None)
         if held is not None:

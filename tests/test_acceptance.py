@@ -487,7 +487,7 @@ def test_criterion_08_low_overlap_family_bound():
             failures.append(f"greedy family of {len(fam)} exceeds 2^{X.dim}")
         for a in range(len(fam)):
             for b in range(a + 1, len(fam)):
-                common = sorted(fam[a].member_set() & fam[b].member_set())
+                common = sorted(frozenset(fam[a].members) & frozenset(fam[b].members))
                 if rank(X.matrix(common)) >= X.dim:
                     failures.append("kept frames overlap at full rank")
     for X in equality_instances:
@@ -504,7 +504,9 @@ def test_criterion_08_low_overlap_family_bound():
         compatible = {}
         for a in range(len(frames)):
             for b in range(a + 1, len(frames)):
-                common = sorted(frames[a].member_set() & frames[b].member_set())
+                common = sorted(
+                    frozenset(frames[a].members) & frozenset(frames[b].members)
+                )
                 compatible[(a, b)] = rank(X.matrix(common)) < X.dim
         best = 0
         for mask in range(1 << len(frames)):
@@ -586,10 +588,10 @@ def test_criterion_10_supporting_lemma_suites():
         X = random_positive_basis(d, seed % d + 1, 9000 + seed)
         simplices = enumerate_simplices(X)
         frames = enumerate_mns(X)
-        member_sets = {f.member_set() for f in frames}
+        frame_sets = {frozenset(f.members) for f in frames}
         for f in frames:
             for s in simplices:
-                if len(f.member_set() & set(s.members)) != len(s.members) - 1:
+                if len(frozenset(f.members) & set(s.members)) != len(s.members) - 1:
                     failures.append("converse fails on a positively independent set")
         for k in range(1, len(X) + 1):
             for sub in combinations(range(len(X)), k):
@@ -598,7 +600,7 @@ def test_criterion_10_supporting_lemma_suites():
                     len(fs & set(s.members)) == len(s.members) - 1
                     for s in simplices
                 ):
-                    if fs not in member_sets:
+                    if fs not in frame_sets:
                         failures.append("forward direction missed a frame")
         for f in frames:
             if rank(X.matrix(f.members)) != X.rank():
@@ -610,7 +612,7 @@ def test_criterion_10_supporting_lemma_suites():
     hits = [
         f
         for f in enumerate_mns(doubled)
-        if len(f.member_set() & neg_side) == 1
+        if len(frozenset(f.members) & neg_side) == 1
     ]
     if not hits:
         failures.append("doubled-simplex counterexample not reproduced")

@@ -412,7 +412,7 @@ class TestMaxDisjointFamily:
             for a in range(len(frames)):
                 for b in range(a + 1, len(frames)):
                     common = sorted(
-                        frames[a].member_set() & frames[b].member_set()
+                        frozenset(frames[a].members) & frozenset(frames[b].members)
                     )
                     compatible[(a, b)] = rank(X.matrix(common)) < d
             best = 0
@@ -534,7 +534,7 @@ class TestFrameLemmas:
         X = random_positive_basis(d, seed % d + 1, seed)
         simplices = enumerate_simplices(X)
         frames = enumerate_mns(X)
-        members = {f.member_set() for f in frames}
+        members = {frozenset(f.members) for f in frames}
         # forward direction: sets meeting every simplex in all but one
         # element are maximal frames (full subset scan at this size)
         n = len(X)
@@ -550,7 +550,7 @@ class TestFrameLemmas:
         assert not positively_dependent(X).verdict
         for f in frames:
             for s in simplices:
-                assert len(f.member_set() & set(s.members)) == len(s.members) - 1
+                assert len(frozenset(f.members) & set(s.members)) == len(s.members) - 1
 
     def test_converse_fails_on_doubled_simplex(self):
         X = s_union_minus_s()
@@ -558,13 +558,13 @@ class TestFrameLemmas:
         neg_triangle = {3, 4, 5}  # indices of the negated simplex
         hits = []
         for f in frames:
-            inter = f.member_set() & neg_triangle
+            inter = frozenset(f.members) & neg_triangle
             if len(inter) == 1:
                 hits.append(f)
         assert hits, "expected a maximal frame meeting the negated simplex once"
         # the swapped set {x -> -x} is such a frame
         swapped = frozenset({1, 2, 3})  # {e2, -e1-e2} plus -e1
-        assert swapped in {f.member_set() for f in frames}
+        assert swapped in {frozenset(f.members) for f in frames}
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_composition_inequality(self, d):

@@ -3,10 +3,12 @@ import sys
 
 import pytest
 
-from psskit import VecSet, run_property_suite, simplicial, suite_passed
+from psskit import VecSet, run_property_suite, simplicial, spanset, suite_passed
 from psskit.cli import main, vecset_json
 from psskit.conical import ConeFrame, enumerate_mns
-from psskit.simplicial import basis_decomposition, enumerate_simplices
+from psskit.latticemod import LatticeElement, build_lattice
+from psskit.simplicial import Simplex, basis_decomposition, enumerate_simplices
+from psskit.suite import _check_lattice, _check_simplex_members
 from psskit.genlib import (
     example_x9,
     make_cross,
@@ -110,6 +112,102 @@ def test_suite_rank_count_gate(d, limit, monkeypatch):
     assert len(calls) <= limit
 
 
+@pytest.mark.parametrize("d, limit", [(6, 150), (8, 540)])
+def test_simplex_member_check_rank_count_gate(d, limit, monkeypatch):
+    # The simplex member check reads each remainder's rank by mask in the
+    # set's own memo.  The limits sit just above the counts measured then
+    # (147 and 537); they were 159 and 553 while that check built a set
+    # per remainder.
+    calls = count_lp_calls(monkeypatch, names=("rank",))
+    assert suite_passed(run_property_suite(make_cross(d)))
+    assert len(calls) <= limit
+
+
+def _count_mask_calls(monkeypatch) -> list:
+    calls = []
+    original = spanset._mask
+
+    def counted(indices):
+        calls.append(indices)
+        return original(indices)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "psskit" and vars(mod).get("_mask") is original:
+            monkeypatch.setattr(mod, "_mask", counted)
+    return calls
+
+
+def test_lattice_check_reads_each_mask_once(monkeypatch):
+    # Each element and simplex carries its mask, built once from its tuple:
+    # 64 + 6 on make_cross(6), where rebuilding the masks of every pair of
+    # elements from their tuples made 37,464 calls.
+    X = make_cross(6)
+    calls = _count_mask_calls(monkeypatch)
+    assert _check_lattice(X) == (True, "64 elements")
+    made = len(calls)
+    lattice = build_lattice(X)
+    assert made <= len(lattice) + len(lattice.all_simplices) == 70
+
+
+@pytest.mark.parametrize(
+    "pick, rebuild",
+    [
+        (
+            lambda X: enumerate_simplices(X)[-1],
+            lambda s: Simplex(s.members, s.dependency),
+        ),
+        (
+            lambda X: enumerate_mns(X)[-1],
+            lambda f: ConeFrame(f.members, f.witness),
+        ),
+        (
+            lambda X: list(build_lattice(X))[-2],
+            lambda e: LatticeElement(e.subset, e.simplices),
+        ),
+    ],
+    ids=["Simplex", "ConeFrame", "LatticeElement"],
+)
+def test_subset_objects_carry_their_mask(pick, rebuild):
+    # the mask is not a field: a hand-built object equals the enumerated
+    # one whether or not either has read it, and repr does not show it
+    x = pick(example_x9())
+    members = x.subset if isinstance(x, LatticeElement) else x.members
+    hand = rebuild(x)
+    assert hand == x
+    assert x.mask == spanset._mask(members) != 0
+    assert hand == x and hand.mask == x.mask
+    assert "mask" not in repr(x)
+
+
+def test_simplex_member_check_builds_no_vecset(monkeypatch):
+    # each remainder's rank is read by mask in the set's own memo, and the
+    # interior claim is re-checked from the simplex's dependency
+    X = example_x9()
+    built = []
+    original = VecSet.__init__
+    monkeypatch.setattr(
+        VecSet, "__init__", lambda self, *a: built.append(a) or original(self, *a)
+    )
+    assert _check_simplex_members(X)[0]
+    assert built == []
+
+
+@pytest.mark.parametrize("factor", [-1, 2])
+def test_simplex_member_check_rechecks_the_dependency(factor, monkeypatch):
+    # -x_z is rebuilt from the coordinates l_i / l_z: a negated coefficient
+    # is not positive, and a doubled one no longer rebuilds -x_z
+    X = example_x9()
+    s = enumerate_simplices(X)[0]
+    last = s.members[-1]
+    patched = Simplex(s.members, {**s.dependency, last: factor * s.dependency[last]})
+    monkeypatch.setattr("psskit.suite.enumerate_simplices", lambda Y: [patched])
+    checks = {c.name: c for c in run_property_suite(X)}
+    assert not checks["simplex_member_structure"].passed
+    assert checks["simplex_member_structure"].detail == (
+        f"simplex {s.members}: {s.members[0]} not interior over the rest"
+    )
+
+
 def test_suite_builds_the_basis_decomposition_once(monkeypatch):
     # the decomposition re-checks each off-basis element once per build;
     # make_cross(3) has three, and both the chain and the frame checks read it
@@ -142,8 +240,8 @@ def test_suite_builds_the_union_closure_once(monkeypatch):
 
 
 def _frames_and_simplices(X):
-    frames = [f.member_set() for f in enumerate_mns(X)]
-    simplices = [s.member_set() for s in enumerate_simplices(X)]
+    frames = [frozenset(f.members) for f in enumerate_mns(X)]
+    simplices = [frozenset(s.members) for s in enumerate_simplices(X)]
     return frames, simplices
 
 
