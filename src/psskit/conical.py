@@ -108,37 +108,24 @@ def _basis_separator(X: VecSet) -> Callable[[int], QVec | None]:
     basis X, in closed form from its basis decomposition, with no LP.
 
     Each simplex A_i + {x_i} meets the linear basis B in A_i, and its
-    dependency gives x_i = -sum(c_ia b_a) over A_i with c_ia = l_a / l_x_i
-    > 0.  A simplex-free F leaves some a in A_i out whenever x_i is in F,
-    so the z with z.b_a = 1 on F & B and -M on B - F, where
-    M = 1 + max over x_i in F of sum(c_ia, a in A_i & F) / min(c_ia, a in
-    A_i - F), has z.x_i >= min(c_ia, a in A_i - F) > 0.  That z is
-    (1 + M) R_F - M R_B, where R_F and R_B sum the rows of B^(-T) over
-    F & B and over B; the rows are solved for once per set.  Every product
-    z.x over F is re-checked: the least must be positive, and z is scaled
-    by it, so that the least is exactly 1, the ``strict_separator``
-    contract.  A subset whose re-check fails gets None.
+    dependency gives x_i = -sum(c_a b_a) over A_i with c_a = l_a / l_x_i
+    > 0.  With mu_i and sigma_i the least and the sum of these c_a, one
+    M = max(sigma_i / mu_i) serves the whole set (l_x_i cancels in the
+    ratio).  The z with z.b_a = 1 on F & B and -M on B - F is one linear
+    solve.  For x_i in a simplex-free F, A_i is not inside F, so
+    z.x_i >= (M + 1) mu_i - sigma_i >= mu_i > 0.  Every product z.x over
+    F is re-checked: the least must be positive, and z is scaled by it,
+    so that the least is exactly 1, the ``strict_separator`` contract.  A
+    subset whose re-check fails gets None.  As M is fixed, the witness
+    depends only on F, not on the walk that reached it.
     """
-    basis = basis_decomposition(X)
-    B = basis.basis
+    B = basis_decomposition(X).basis
     columns = [[X[a][k] for a in B] for k in range(X.dim)]  # B^T's columns
-    dual = {a: solve_linear(columns, [int(a == b) for b in B]) for a in B}
-    r_b = [sum(col) for col in zip(*dual.values())]
-    coeffs = [
-        (x, {a: s.dependency[a] / s.dependency[x] for a in support})
-        for (x, support), s in zip(basis.pairs, enumerate_simplices(X))
-    ]
+    held = [[l for a, l in s.dependency.items() if a in B] for s in enumerate_simplices(X)]
+    m = max(sum(ls) / min(ls) for ls in held)
 
     def separate(mask: int) -> QVec | None:
-        m = _ONE
-        for x, c in coeffs:
-            if mask >> x & 1:
-                held = sum(v for a, v in c.items() if mask >> a & 1)
-                least = min(v for a, v in c.items() if not mask >> a & 1)
-                m = max(m, 1 + held / least)
-        picked = [dual[a] for a in B if mask >> a & 1]
-        r_f = [sum(col) for col in zip(*picked)] if picked else [0] * X.dim
-        z = QVec((1 + m) * f - m * t for f, t in zip(r_f, r_b))
+        z = QVec(solve_linear(columns, [1 if mask >> a & 1 else -m for a in B]))
         low = min(z.dot(X[i]) for i in _members(mask))
         return z.scale(1 / low) if low > 0 else None
 

@@ -63,8 +63,8 @@ class SpanLattice:
         return found
 
     def _require(self, *elements: LatticeElement) -> None:
-        for a in elements:
-            if self._by_mask.get(a.mask) != a:
+        for a in elements:  # identity first; an equal hand-built element passes too
+            if (found := self._by_mask.get(a.mask)) is not a and found != a:
                 raise PreconditionError("element does not belong to this lattice")
 
     def meet(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:

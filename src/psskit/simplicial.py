@@ -24,7 +24,6 @@ from .spanset import (
     _members,
     _memoized,
     _require,
-    in_rint_positive_span,
     is_pss,
     replace_element,
     skeleton_contains,
@@ -210,8 +209,11 @@ def basis_decomposition(X: VecSet) -> BasisDecomposition:
     off = tuple(x for x, _ in pairs)
     if sorted(basis + off) != list(X.indices()):
         raise PropertyViolation("decomposition does not partition the set")
-    for x_i, a_i in pairs:
-        if not in_rint_positive_span(-X[x_i], X.subset(a_i)):
+    for s, (x_i, a_i) in zip(simplices, pairs):
+        # over the independent A_i, -x_i has the unique coordinates l_a / l_x_i
+        coords = {a: s.dependency[a] / s.dependency[x_i] for a in a_i}
+        rebuilt = sum((X[a].scale(c) for a, c in coords.items()), X[x_i])
+        if any(c <= 0 for c in coords.values()) or not rebuilt.is_zero():
             raise PropertyViolation("off-basis element not interior to its support")
     for i, (_, a_i) in enumerate(pairs):
         for j, (_, a_j) in enumerate(pairs):

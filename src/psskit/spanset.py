@@ -275,12 +275,14 @@ def _independent_sets(X: VecSet, rows, size: int, members=()):
     at most ``size`` elements, depth first in lexicographic order.
 
     ``rows`` holds one integer row per vector, its first ``X.dim`` entries
-    the vector, reduced against an echelon form of ``members`` (none at the
-    top call); these are the residuals yielded.  A residual with a nonzero
-    head extends the set, a zero one lies in its span.  Rows past
-    ``len(X)`` are reduced alike but never chosen as members.  A subset's
-    extensions are reduced only when the walk is resumed past it, so a
-    caller that stops early pays for no more.
+    the vector; each row past the last member is reduced against an
+    echelon form of ``members`` (none at the top call).  These are the
+    residuals yielded: a residual with a nonzero head extends the set, a
+    zero one lies in its span.  The rows up to the last member are left as
+    they were, since neither the walk nor its callers read them again.
+    Rows past ``len(X)`` are reduced alike but never chosen as members.  A
+    subset's extensions are reduced only when the walk is resumed past it,
+    so a caller that stops early pays for no more.
     """
     yield members, rows
     if len(members) == size:
@@ -289,7 +291,7 @@ def _independent_sets(X: VecSet, rows, size: int, members=()):
         row = rows[j]
         pc = next((c for c in range(X.dim) if row[c]), None)
         if pc is not None:
-            reduced = [_eliminate(v, row, pc) for v in rows]
+            reduced = rows[: j + 1] + [_eliminate(v, row, pc) for v in rows[j + 1 :]]
             yield from _independent_sets(X, reduced, size, members + (j,))
 
 

@@ -37,6 +37,7 @@ from psskit.ratlin import (
 )
 from psskit.spanset import (
     extract_positive_basis,
+    is_positive_basis,
     is_pss,
     positively_dependent,
     skeleton_contains,
@@ -48,6 +49,10 @@ from conftest import count_lp_calls, oracle_frames_from_simplices, vecsets
 def _from_psskit(obj) -> bool:
     module = getattr(obj, "__module__", None)
     return isinstance(module, str) and module.split(".")[0] == "psskit"
+
+
+# every full-rank positive basis of the seeded sampler for d = 2..6
+RANDOM_BASES = [(d, n, s) for d in range(2, 7) for n in range(1, min(d, 3) + 1) for s in (0, 1, 15)]
 
 
 def s_union_minus_s():
@@ -190,10 +195,7 @@ class TestEnumerateMns:
         assert len(calls) <= lps
         assert all(res.kind == "separator" for res in calls)
 
-    @pytest.mark.parametrize(
-        "d, n, seed",
-        [(d, n, s) for d in range(2, 7) for n in range(1, min(d, 3) + 1) for s in (0, 1, 15)],
-    )
+    @pytest.mark.parametrize("d, n, seed", RANDOM_BASES)
     def test_closed_form_separators_of_a_positive_basis(self, d, n, seed, monkeypatch):
         # the member lists are the maximal simplex-free sets, every witness
         # is scaled to a least product of exactly 1 over its frame, and the
@@ -208,6 +210,28 @@ class TestEnumerateMns:
         fresh = VecSet(X.dim, X.vectors)
         assert [f.members for f in enumerate_mns(fresh)] == [f.members for f in frames]
         assert cone_decomposition(fresh).assignment == cover.assignment
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *(lambda t=t: random_positive_basis(*t) for t in RANDOM_BASES),
+            *(lambda d=d: make_cross(d) for d in (2, 3, 5, 8)),
+            *(lambda d=d: make_simplex(d) for d in (3, 6, 12)),
+        ],
+        ids=[
+            *(f"rpb{d}{n}{s}" for d, n, s in RANDOM_BASES),
+            "cross2", "cross3", "cross5", "cross8", "simplex3", "simplex6", "simplex12",
+        ],
+    )
+    def test_closed_form_witness_depends_only_on_the_frame(self, build):
+        # M is one constant per set, so a rescaled parent witness is the
+        # closed form at the child: the walk's path leaves no trace (45 of
+        # these frames differed while M was worked out per subset)
+        X = build()
+        assert X.rank() == X.dim and is_positive_basis(X)
+        separate = conical._basis_separator(X)
+        for f in enumerate_mns(X):
+            assert f.witness == separate(f.mask), f.members
 
     def test_frame_walk_peak_memory_is_its_output(self):
         # the walk keeps no subset it does not yield, so with the simplices
@@ -236,8 +260,8 @@ class TestEnumerateMns:
     def test_closed_form_separator_failing_its_recheck_is_internal_error(
         self, monkeypatch
     ):
-        # a positive basis builds its separators from the rows of B^(-T);
-        # negated rows give every member a negative product
+        # a positive basis solves B^T z = s for each separator; a negated
+        # solution gives every member a negative product
         monkeypatch.setattr(
             "psskit.conical.solve_linear",
             lambda columns, rhs: [-c for c in solve_linear(columns, rhs)],

@@ -13,6 +13,7 @@ from psskit import (
     is_pss,
 )
 from psskit.errors import PreconditionError
+from psskit.latticemod import LatticeElement
 from psskit.simplicial import positively_spanning_subsets
 from psskit.genlib import (
     make_cross,
@@ -84,6 +85,14 @@ class TestOperations:
     def test_element_rejects_what_is_not_a_member(self, subset):
         with pytest.raises(PreconditionError):
             self.lat.element(subset)
+
+    def test_hand_built_equal_element_accepted(self):
+        # membership is tested by identity first, then by equality
+        copy = LatticeElement(self.s1.subset, self.s1.simplices)
+        assert copy is not self.s1
+        assert self.lat.meet(copy, self.s2).subset == ()
+        assert self.lat.join(copy, self.s2).subset == (0, 1, 2, 3)
+        assert self.lat.complement(copy) == self.s2
 
     def test_mixed_lattices_rejected(self):
         other = build_lattice(make_cross(2))

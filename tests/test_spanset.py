@@ -350,7 +350,8 @@ class TestSkeletonCore:
     @pytest.mark.parametrize("build", [lambda: make_cross(5), example_x9], ids=["cross5", "x9"])
     def test_member_stops_the_walk_at_its_first_certificate(self, build, monkeypatch):
         # a member spans a ray of its own: the walk's first step, one
-        # reduction of every row, finds its certificate, and the walk stops
+        # reduction of every row past it, finds its certificate, and the
+        # walk stops
         X = build()
         X.rank()  # memoized first, so only the walk's eliminations count
         calls = count_lp_calls(monkeypatch, names=("_eliminate",))
@@ -358,12 +359,25 @@ class TestSkeletonCore:
         assert len(calls) <= len(X) + 1
 
     def test_no_answer_walks_every_independent_set_once(self, monkeypatch):
-        # a "no" has no certificate to stop at: the full walk, and no more
+        # a "no" has no certificate to stop at: the full walk, and no more.
+        # Each call of the walk yields one independent set, here the
+        # sum(C(5, k) 2^k, k <= 4) = 211 of at most rank - 1 members, and
+        # reduces only the rows past its last member: 547 eliminations,
+        # where reducing every row made 2,310.
         X = make_cross(5)
         X.rank()
+        walked = []
+        original = spanset._independent_sets
+        monkeypatch.setattr(
+            spanset,
+            "_independent_sets",
+            lambda X, rows, size, members=(): walked.append(members)
+            or original(X, rows, size, members),
+        )
         calls = count_lp_calls(monkeypatch, names=("_eliminate",))
         assert not skeleton_contains(QVec([1] * 5), X)
-        assert len(calls) == 2310
+        assert len(walked) == len(set(walked)) == 211
+        assert len(calls) == 547
 
 
 class TestSkeletonOracle:

@@ -149,6 +149,20 @@ def test_lattice_check_reads_each_mask_once(monkeypatch):
     assert made <= len(lattice) + len(lattice.all_simplices) == 70
 
 
+def test_lattice_check_compares_elements_only_in_the_complement_laws(monkeypatch):
+    # meet, join and complement accept their own elements by identity; the
+    # complement laws' three comparisons per element are the only __eq__
+    # calls left, where the membership test made 16,960 on make_cross(6)
+    X = make_cross(6)
+    calls = []
+    original = LatticeElement.__eq__
+    monkeypatch.setattr(
+        LatticeElement, "__eq__", lambda a, b: calls.append(1) or original(a, b)
+    )
+    assert _check_lattice(X) == (True, "64 elements")
+    assert len(calls) <= 3 * 64
+
+
 @pytest.mark.parametrize(
     "pick, rebuild",
     [
@@ -209,15 +223,29 @@ def test_simplex_member_check_rechecks_the_dependency(factor, monkeypatch):
 
 
 def test_suite_builds_the_basis_decomposition_once(monkeypatch):
-    # the decomposition re-checks each off-basis element once per build;
-    # make_cross(3) has three, and both the chain and the frame checks read it
-    calls = []
-    original = simplicial.in_rint_positive_span
+    # the decomposition is memoized: the chain, bounds and frame checks all
+    # read the one build
+    builds = []
+    original = simplicial.BasisDecomposition
     monkeypatch.setattr(
-        simplicial, "in_rint_positive_span", lambda p, B: calls.append(B) or original(p, B)
+        simplicial, "BasisDecomposition", lambda *args: builds.append(args) or original(*args)
     )
     assert suite_passed(run_property_suite(make_cross(3)))
-    assert len(calls) == 3
+    assert len(builds) == 1
+
+
+def test_suite_builds_no_subset(monkeypatch):
+    # every subset is read by mask in the set's own memo; the decomposition
+    # re-checked each off-basis element on a sub-VecSet of its support,
+    # 8 on make_cross(8)
+    X = make_cross(8)
+    builds = []
+    original = VecSet.__init__
+    monkeypatch.setattr(
+        VecSet, "__init__", lambda self, *args: builds.append(args) or original(self, *args)
+    )
+    assert suite_passed(run_property_suite(X))
+    assert not builds
 
 
 def test_suite_builds_the_union_closure_once(monkeypatch):
