@@ -218,9 +218,9 @@ def cmd_cones(X: VecSet) -> tuple[dict, str]:
             {
                 "members": list(part),
                 "frame": list(frame.members),
-                "witness": _vec_json(z),
+                "witness": _vec_json(frame.witness),
             }
-            for part, frame, z in zip(cover.parts, cover.frames, cover.witnesses)
+            for part, frame in zip(cover.parts, cover.frames)
         ],
         "assignment": {str(i): k for i, k in sorted(cover.assignment.items())},
     }

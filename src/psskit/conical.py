@@ -46,15 +46,14 @@ class ConeFrame:
 class ConeCover:
     """A cover of a vector set by negatively independent parts.
 
-    ``parts[k]`` lists the indices assigned to the k-th used frame,
-    ``frames[k]`` is that frame (over the extracted positive basis), and
-    ``witnesses[k]`` strictly separates the whole part from the origin.
+    ``parts[k]`` lists the indices assigned to the k-th used frame, and
+    ``frames[k]`` is that frame (over the extracted positive basis), whose
+    witness strictly separates the whole part from the origin.
     ``assignment`` maps every index of the input to its part.
     """
 
     parts: tuple[tuple[int, ...], ...]
     frames: tuple[ConeFrame, ...]
-    witnesses: tuple[QVec, ...]
     assignment: dict[int, int]
 
 
@@ -260,7 +259,7 @@ def cone_decomposition(X: VecSet) -> ConeCover:
 
     def holds(frame: ConeFrame, i: int) -> bool:
         if i in in_y:
-            return in_y[i] in frame.members
+            return bool(frame.mask >> in_y[i] & 1)
         # a failing separator rules membership out without an LP
         return (
             frame.witness.dot(X[i]) > 0
@@ -282,7 +281,6 @@ def cone_decomposition(X: VecSet) -> ConeCover:
     return ConeCover(
         tuple(tuple(groups[k]) for k in used),
         tuple(frames[k] for k in used),
-        tuple(frames[k].witness for k in used),
         {i: part for part, k in enumerate(used) for i in groups[k]},
     )
 

@@ -8,16 +8,17 @@ simplex indicator functions in their place, the same choice gives the
 characteristic basis of a locally equilibrated set.  Evaluating a
 dependency basis at each vector and normalising on the L1 sphere gives
 the Gale diagram, whose point classes match simplex-membership classes
-exactly on locally equilibrated sets.
+exactly on locally equilibrated sets.  Each dependency is re-checked by
+``spanset._is_dependency``; the simplex dependencies come certified.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, PropertyViolation
-from .ratlin import QVec, kernel_basis, rank, _dot, _integer_row, _reduce
+from .ratlin import QVec, kernel_basis, rank, _integer_row, _reduce
 from .simplicial import Simplex, enumerate_simplices
-from .spanset import VecSet, _mask, _require
+from .spanset import VecSet, _is_dependency, _mask, _require
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -50,13 +51,8 @@ class GaleDiagram:
     points: tuple[QVec, ...]
 
 
-def _is_dependency(X: VecSet, v) -> bool:
-    """Whether the coefficients v weight the vectors of X to zero."""
-    return not any(_dot(row, v) for row in zip(*X.vectors))
-
-
 def _check_dependency(X: VecSet, v) -> None:
-    if not _is_dependency(X, v):
+    if not _is_dependency(X, dict(enumerate(v))):
         raise PropertyViolation("coefficients do not form a dependency")
 
 
@@ -110,7 +106,7 @@ def nonneg_dependency_basis(X: VecSet) -> list[Dependency]:
 
 def is_locally_equilibrated(X: VecSet) -> bool:
     """Whether the members of every simplex sum exactly to zero."""
-    return all(_is_dependency(X, _indicator(X, s)) for s in enumerate_simplices(X))
+    return all(_is_dependency(X, dict.fromkeys(s.members, _ONE)) for s in enumerate_simplices(X))
 
 
 def gale_diagram(X: VecSet, basis: list[Dependency]) -> GaleDiagram:

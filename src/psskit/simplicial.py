@@ -12,7 +12,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 
 from .errors import PreconditionError, PropertyViolation
 from .ratlin import QVec, solve_linear, solve_nonneg
@@ -20,11 +21,11 @@ from .ratlin import _with_combinations
 from .spanset import (
     VecSet,
     _independent_sets,
+    _is_dependency,
     _mask,
     _members,
     _memoized,
     _require,
-    is_pss,
     replace_element,
     skeleton_contains,
 )
@@ -36,7 +37,8 @@ class Simplex:
 
     ``dependency`` maps member index to a strictly positive coefficient,
     normalised so the smallest member index carries coefficient 1; the
-    weighted sum of the members is exactly zero.
+    weighted sum of the members is exactly zero.  Both are re-checked
+    where the simplex is made, in ``enumerate_simplices``.
     """
 
     members: tuple[int, ...]
@@ -115,6 +117,8 @@ def enumerate_simplices(X: VecSet) -> SimplexSet:
     zero.  The tail then holds C's one dependency up to scale, and C is a
     simplex exactly when every member's coefficient is nonzero with j's
     sign.  A larger independent set gives its extra member coefficient 0.
+    Each dependency is re-checked (positive, and ``_is_dependency``) before
+    returning; a failure raises PropertyViolation.
     """
     d = X.dim
     simplices: SimplexSet = []
@@ -124,7 +128,11 @@ def enumerate_simplices(X: VecSet) -> SimplexSet:
             if not any(head) and all(tail[i] * tail[j] > 0 for i in members):
                 C = members + (j,)
                 simplices.append(Simplex(C, {i: Fraction(tail[i], tail[C[0]]) for i in C}))
-    return sorted(simplices, key=lambda s: s.members)
+    simplices.sort(key=lambda s: s.members)
+    for s in simplices:
+        if min(s.dependency.values()) <= 0 or not _is_dependency(X, s.dependency):
+            raise PropertyViolation(f"simplex {s.members}: dependency does not re-check")
+    return simplices
 
 
 @_memoized
@@ -184,7 +192,8 @@ def basis_decomposition(X: VecSet) -> BasisDecomposition:
     Every simplex of a positive basis owns at least one private element
     (a member of no other simplex); the highest-index private element of
     each simplex is taken as its x_i and the rest as A_i.  All structural
-    invariants are re-checked before returning, once per set.
+    invariants are re-checked before returning, once per set; the simplex
+    dependencies, which put each x_i interior to A_i, come certified.
     """
     _require(X, basis=True, full=True)
     d = X.dim
@@ -209,12 +218,6 @@ def basis_decomposition(X: VecSet) -> BasisDecomposition:
     off = tuple(x for x, _ in pairs)
     if sorted(basis + off) != list(X.indices()):
         raise PropertyViolation("decomposition does not partition the set")
-    for s, (x_i, a_i) in zip(simplices, pairs):
-        # over the independent A_i, -x_i has the unique coordinates l_a / l_x_i
-        coords = {a: s.dependency[a] / s.dependency[x_i] for a in a_i}
-        rebuilt = sum((X[a].scale(c) for a, c in coords.items()), X[x_i])
-        if any(c <= 0 for c in coords.values()) or not rebuilt.is_zero():
-            raise PropertyViolation("off-basis element not interior to its support")
     for i, (_, a_i) in enumerate(pairs):
         for j, (_, a_j) in enumerate(pairs):
             if i != j and set(a_i) <= set(a_j):
@@ -229,8 +232,9 @@ def reay_partition(X: VecSet) -> ReayPartition:
 
     Orders the supports A_i so residuals are non-increasing (largest
     residual first, ties by simplex order), strips earlier elements, and
-    attaches each x_i.  The union of the first k parts positively spans a
-    linear subspace of dimension sum |X_i| - k; verified before returning.
+    attaches each x_i.  The first k parts are the union of k simplices,
+    which positively spans its hull (their dependencies sum positive on
+    it) of dimension sum |X_i| - k: read by mask, verified before returning.
     """
     decomp = basis_decomposition(X)
     remaining = list(range(len(decomp.pairs)))
@@ -252,18 +256,10 @@ def reay_partition(X: VecSet) -> ReayPartition:
     sizes = [len(p) for p in parts]
     if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)) or min(sizes) < 2:
         raise PropertyViolation("part sizes are not non-increasing or too small")
-    dims: list[int] = []
-    prefix: list[int] = []
-    for k, part in enumerate(parts, start=1):
-        prefix.extend(part)
-        sub = X.subset(sorted(prefix))
-        if not is_pss(sub):
-            raise PropertyViolation("prefix union does not span a linear subspace")
-        dim = sub.rank()
-        if dim != sum(sizes[:k]) - k:
-            raise PropertyViolation("prefix dimension does not telescope")
-        dims.append(dim)
-    return ReayPartition(tuple(parts), tuple(dims))
+    dims = tuple(X._rank(prefix) for prefix in accumulate(map(_mask, parts), or_))
+    if any(dim != sum(sizes[:k]) - k for k, dim in enumerate(dims, start=1)):
+        raise PropertyViolation("prefix dimension does not telescope")
+    return ReayPartition(tuple(parts), dims)
 
 
 def sxy_classify(S: VecSet, y: QVec) -> SwapReport:

@@ -143,6 +143,13 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def _is_dependency(X: VecSet, coeffs: dict[int, Fraction]) -> bool:
+    """Whether ``coeffs``, a weight per index of X (unchecked), weight its
+    vectors to zero: the one dependency re-check, one ``_dot`` a coordinate."""
+    weights = list(coeffs.values())
+    return not any(_dot(row, weights) for row in zip(*(X[i].entries for i in coeffs)))
+
+
 @dataclass(frozen=True)
 class DependenceReport:
     """Verdict of a dependence test plus a reconstructing witness.

@@ -32,6 +32,7 @@ from .simplicial import (
 )
 from .spanset import (
     VecSet,
+    _is_dependency,
     _mask,
     _members,
     caratheodory_reduce,
@@ -66,15 +67,16 @@ def _check_trichotomy(X: VecSet) -> tuple[bool, str]:
 
 
 def _check_simplex_members(X: VecSet) -> tuple[bool, str]:
-    # over its independent remainder, -x_z has the unique coordinates l_i / l_z
+    # rank >= |S| - 1 and a strictly positive dependency leave S a kernel
+    # spanned by it: every remainder S - z is independent, and over it -x_z
+    # has the positive coordinates l_i / l_z.  One rank per simplex.
     for s in enumerate_simplices(X):
-        for z in s.members:
-            if X._rank(s.mask & ~(1 << z)) != len(s.members) - 1:
-                return False, f"simplex {s.members}: removing {z} leaves dependence"
-            coords = {i: c / s.dependency[z] for i, c in s.dependency.items() if i != z}
-            rebuilt = sum((X[i].scale(c) for i, c in coords.items()), X[z])
-            if any(c <= 0 for c in coords.values()) or not rebuilt.is_zero():
-                return False, f"simplex {s.members}: {z} not interior over the rest"
+        z = s.members[0]
+        if X._rank(s.mask) < len(s.members) - 1:
+            return False, f"simplex {s.members}: removing {z} leaves dependence"
+        positive = s.dependency.keys() == set(s.members) and min(s.dependency.values()) > 0
+        if not positive or not _is_dependency(X, s.dependency):
+            return False, f"simplex {s.members}: {z} not interior over the rest"
     return True, "every member interior over an independent remainder"
 
 

@@ -456,9 +456,9 @@ def test_criterion_07_pointed_cover():
         covered = sorted(i for part in cover.parts for i in part)
         if covered != list(X.indices()):
             failures.append("parts do not partition the set")
-        for part, z in zip(cover.parts, cover.witnesses):
+        for part, frame in zip(cover.parts, cover.frames):
             for i in part:
-                if z.dot(X[i]) <= 0:
+                if frame.witness.dot(X[i]) <= 0:
                     failures.append("part member not strictly separated")
     _finish(7, "pointed covers of 100 seeded spanning sets", failures)
 

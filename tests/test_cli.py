@@ -493,6 +493,29 @@ class TestExitCodes:
         assert out == ""
         assert err == "internal error: element escaped every maximal frame\n"
 
+    def test_simplex_with_a_doubled_coefficient_is_never_returned(self, monkeypatch, capsys):
+        # every dependency is re-checked where the simplex is made: one
+        # doubled coefficient no longer weights the members to zero
+        from psskit import simplicial
+        from psskit.errors import PropertyViolation
+
+        original = simplicial.Simplex
+
+        def doubled(members, dependency):
+            last = members[-1]
+            return original(members, {**dependency, last: 2 * dependency[last]})
+
+        monkeypatch.setattr("psskit.simplicial.Simplex", doubled)
+        message = "simplex (0, 1, 2): dependency does not re-check"
+        with pytest.raises(PropertyViolation) as raised:
+            simplicial.enumerate_simplices(example_x9())
+        assert str(raised.value) == message
+        payload = json.dumps(vecset_json(example_x9()))
+        code, out, err = run_cli(["simplices"], payload, monkeypatch, capsys)
+        assert code == 3
+        assert out == ""
+        assert err == f"internal error: {message}\n"
+
     def test_property_violation_in_a_check_fails_that_check(self, monkeypatch, capsys):
         from psskit.errors import PropertyViolation
 

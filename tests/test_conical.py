@@ -363,9 +363,9 @@ class TestConeDecomposition:
         cover = cone_decomposition(X)
         assert len(cover.parts) <= 4
         assert sorted(i for p in cover.parts for i in p) == list(range(7))
-        for part, z in zip(cover.parts, cover.witnesses):
+        for part, frame in zip(cover.parts, cover.frames):
             for i in part:
-                assert z.dot(X[i]) > 0
+                assert frame.witness.dot(X[i]) > 0
 
     def test_rejects_non_pss(self):
         with pytest.raises(PreconditionError):

@@ -310,6 +310,21 @@ class TestReay:
         assert [len(part) for part in p.parts] == [3, 2]
         assert p.dimensions == (2, 3)
 
+    def test_prefixes_need_no_lp_and_no_subset(self, monkeypatch):
+        # a prefix is a union of certified simplices, so it positively spans
+        # its hull and only its rank is read, by mask; an is_pss LP on a
+        # sub-VecSet per prefix asked 7 and built 7 on make_cross(8)
+        X = make_cross(8)
+        basis_decomposition(X)
+        calls = count_lp_calls(monkeypatch)
+        built = []
+        original = VecSet.__init__
+        monkeypatch.setattr(
+            VecSet, "__init__", lambda self, *a: built.append(a) or original(self, *a)
+        )
+        assert reay_partition(X).dimensions == tuple(range(1, 9))
+        assert calls == [] and built == []
+
 
 class TestSxy:
     def test_negated_member(self):

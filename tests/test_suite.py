@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -101,23 +102,35 @@ def test_frame_witness_below_one_fails_the_rank_check(monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("d, limit", [(6, 200), (8, 600)])
-def test_suite_rank_count_gate(d, limit, monkeypatch):
+@pytest.mark.parametrize(
+    "build, limit",
+    [
+        (lambda: make_cross(6), 200),
+        (lambda: make_cross(8), 600),
+        (example_x9, 47),
+        (lambda: random_positive_basis(6, 3, 1), 70),
+        (lambda: random_positive_basis(6, 3, 15), 70),
+    ],
+    ids=["6-200", "8-600", "x9", "rpb631", "rpb6315"],
+)
+def test_suite_rank_count_gate(build, limit, monkeypatch):
     # Every subset rank is kept in the set's memo under its mask, and the
     # overlap family skips intersections of fewer than d members.  The
-    # limits sit just above the counts measured then (165 and 561); they
-    # were 2,198 and 33,222 while ranks were kept per call or not at all.
+    # cross limits sit just above the counts measured then (165 and 561);
+    # they were 2,198 and 33,222 while ranks were kept per call or not at
+    # all.  The other limits are the counts once the simplex member check
+    # read one rank per simplex, not one per member (64, 80 and 82).
     calls = count_lp_calls(monkeypatch, names=("rank",))
-    assert suite_passed(run_property_suite(make_cross(d)))
+    assert suite_passed(run_property_suite(build()))
     assert len(calls) <= limit
 
 
 @pytest.mark.parametrize("d, limit", [(6, 150), (8, 540)])
 def test_simplex_member_check_rank_count_gate(d, limit, monkeypatch):
-    # The simplex member check reads each remainder's rank by mask in the
-    # set's own memo.  The limits sit just above the counts measured then
-    # (147 and 537); they were 159 and 553 while that check built a set
-    # per remainder.
+    # The simplex member check reads each simplex's rank by mask in the
+    # set's own memo.  The limits sit just above the counts measured when
+    # it read each remainder's (147 and 537); they were 159 and 553 while
+    # that check built a set per remainder.
     calls = count_lp_calls(monkeypatch, names=("rank",))
     assert suite_passed(run_property_suite(make_cross(d)))
     assert len(calls) <= limit
@@ -194,7 +207,7 @@ def test_subset_objects_carry_their_mask(pick, rebuild):
 
 
 def test_simplex_member_check_builds_no_vecset(monkeypatch):
-    # each remainder's rank is read by mask in the set's own memo, and the
+    # each simplex's rank is read by mask in the set's own memo, and the
     # interior claim is re-checked from the simplex's dependency
     X = example_x9()
     built = []
@@ -206,19 +219,36 @@ def test_simplex_member_check_builds_no_vecset(monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize("factor", [-1, 2])
-def test_simplex_member_check_rechecks_the_dependency(factor, monkeypatch):
-    # -x_z is rebuilt from the coordinates l_i / l_z: a negated coefficient
-    # is not positive, and a doubled one no longer rebuilds -x_z
-    X = example_x9()
-    s = enumerate_simplices(X)[0]
-    last = s.members[-1]
-    patched = Simplex(s.members, {**s.dependency, last: factor * s.dependency[last]})
+def _scaled_last(factor):
+    def patch(X):
+        s = enumerate_simplices(X)[0]
+        last = s.members[-1]
+        return Simplex(s.members, {**s.dependency, last: factor * s.dependency[last]})
+
+    return patch
+
+
+@pytest.mark.parametrize(
+    "X, patch",
+    [
+        (example_x9(), _scaled_last(-1)),
+        (example_x9(), _scaled_last(2)),
+        (example_x9(), _scaled_last(0)),
+        # a circuit plus one independent member: rank |S| - 1 and every
+        # coefficient positive, but e1 - e1 + e2 is not zero
+        (make_cross(2), lambda X: Simplex((0, 1, 2), dict.fromkeys((0, 1, 2), Fraction(1)))),
+    ],
+    ids=["-1", "2", "0", "non-circuit"],
+)
+def test_simplex_member_check_rechecks_the_dependency(X, patch, monkeypatch):
+    # a negated or zero coefficient is not positive, and a doubled one or a
+    # non-circuit's no longer weights the members to zero
+    patched = patch(X)
     monkeypatch.setattr("psskit.suite.enumerate_simplices", lambda Y: [patched])
     checks = {c.name: c for c in run_property_suite(X)}
     assert not checks["simplex_member_structure"].passed
     assert checks["simplex_member_structure"].detail == (
-        f"simplex {s.members}: {s.members[0]} not interior over the rest"
+        f"simplex {patched.members}: {patched.members[0]} not interior over the rest"
     )
 
 
