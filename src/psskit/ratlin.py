@@ -51,8 +51,8 @@ def _dot(xs, ys) -> Fraction:
     The entries are exact rationals (``Fraction`` or ``int``).  The products
     are added over one common denominator in plain ints, and one normalised
     ``Fraction`` is made at the end, so the value equals the ``Fraction``
-    sum without a ``Fraction`` and a gcd per term.  Unequal lengths raise
-    ``ValueError``.
+    sum without a ``Fraction`` and a gcd per term.  A zero sum is the
+    module's ``_ZERO``, made once.  Unequal lengths raise ``ValueError``.
     """
     num, den = 0, 1
     for x, y in zip(xs, ys, strict=True):
@@ -65,7 +65,7 @@ def _dot(xs, ys) -> Fraction:
                 den = den // g * d
             else:
                 num += n * (den // d)
-    return Fraction(num, den)
+    return Fraction(num, den) if num else _ZERO
 
 
 @dataclass(frozen=True, slots=True)

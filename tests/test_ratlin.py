@@ -473,6 +473,7 @@ class TestDot:
     @example([])
     @example([(F(1, 4), 1), (F(-1, 6), F(-1))])  # 1/4 + 1/6 = 5/12, over lcm 12
     @example([(F(1, 6), F(3, 2)), (F(1, 3), F(3, 4))])  # 3/12 + 3/12 = 1/2
+    @example([(F(1, 2), 2), (F(-1, 3), 3)])  # 1 - 1: a zero sum is the Fraction 0/1
     def test_equals_the_fraction_sum(self, pairs):
         got = _dot([x for x, _ in pairs], [y for _, y in pairs])
         want = sum((x * y for x, y in pairs), F(0))

@@ -7,7 +7,7 @@ import pytest
 from psskit import VecSet, run_property_suite, simplicial, spanset, suite_passed
 from psskit.cli import main, vecset_json
 from psskit.conical import ConeFrame, enumerate_mns
-from psskit.latticemod import LatticeElement, build_lattice
+from psskit.latticemod import LatticeElement, SpanLattice, build_lattice
 from psskit.simplicial import Simplex, basis_decomposition, enumerate_simplices
 from psskit.suite import _check_lattice, _check_simplex_members
 from psskit.genlib import (
@@ -162,10 +162,10 @@ def test_lattice_check_reads_each_mask_once(monkeypatch):
     assert made <= len(lattice) + len(lattice.all_simplices) == 70
 
 
-def test_lattice_check_compares_elements_only_in_the_complement_laws(monkeypatch):
-    # meet, join and complement accept their own elements by identity; the
-    # complement laws' three comparisons per element are the only __eq__
-    # calls left, where the membership test made 16,960 on make_cross(6)
+def test_lattice_check_compares_no_elements(monkeypatch):
+    # membership is read by mask and meet, join and complement are never
+    # called, so no two elements are compared; the complement laws made 192
+    # comparisons on make_cross(6), and the membership test before them 16,960
     X = make_cross(6)
     calls = []
     original = LatticeElement.__eq__
@@ -173,7 +173,124 @@ def test_lattice_check_compares_elements_only_in_the_complement_laws(monkeypatch
         LatticeElement, "__eq__", lambda a, b: calls.append(1) or original(a, b)
     )
     assert _check_lattice(X) == (True, "64 elements")
-    assert len(calls) <= 3 * 64
+    assert len(calls) == 0
+
+
+class _CountedIndex(dict):
+    def __init__(self, index, lookups):
+        super().__init__(index)
+        self.lookups = lookups
+
+    def __contains__(self, key):
+        self.lookups.append(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.lookups.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups.append(key)
+        return super().get(key, default)
+
+
+def test_lattice_check_is_linear_in_the_lattice(monkeypatch):
+    # One lookup for the empty set and one per element and simplex: at most
+    # L*s + 1 = 512 * 9 + 1 on make_cross(9), where testing meet and join on
+    # every pair of elements made 262,144 calls of each
+    lookups, operations = [], []
+
+    def counted_build(X):
+        lattice = build_lattice(X)
+        lattice._by_mask = _CountedIndex(lattice._by_mask, lookups)
+        return lattice
+
+    monkeypatch.setattr("psskit.suite.build_lattice", counted_build)
+    for name in ("meet", "join", "complement"):
+        original = getattr(SpanLattice, name)
+        monkeypatch.setattr(
+            SpanLattice,
+            name,
+            lambda self, *args, _op=original: operations.append(_op) or _op(self, *args),
+        )
+    assert _check_lattice(make_cross(9)) == (True, "512 elements")
+    assert operations == []
+    assert len(lookups) <= 512 * 9 + 1 == 4609
+
+
+def _lattice_with(edit):
+    """A ``build_lattice`` whose element list is ``edit`` of the real one."""
+
+    def build(X):
+        lattice = build_lattice(X)
+        return SpanLattice(X, lattice.all_simplices, edit(lattice.elements))
+
+    return build
+
+
+def _dropped(elements):
+    return [e for e in elements if e is not elements[-2]]
+
+
+def _short_top(elements):
+    top = elements[-1]
+    return [*elements[:-1], LatticeElement(top.subset, top.simplices[1:])]
+
+
+@pytest.mark.parametrize(
+    "X, target, patch, detail",
+    [
+        # with (2, 3, 4, 5) dropped, the join (2, 3) | (4, 5) is missing
+        (
+            make_cross(3),
+            "build_lattice",
+            _lattice_with(_dropped),
+            "join (2, 3, 4, 5) of an element and a simplex is missing",
+        ),
+        (
+            make_cross(3),
+            "build_lattice",
+            _lattice_with(lambda e: e[1:]),
+            "the empty set is not an element",
+        ),
+        (
+            make_cross(3),
+            "build_lattice",
+            _lattice_with(_short_top),
+            "element (0, 1, 2, 3, 4, 5) lists simplices (1, 2), not (0, 1, 2)",
+        ),
+        # (0,) lists the simplices inside it, none, but is not their union
+        (
+            make_cross(3),
+            "build_lattice",
+            _lattice_with(lambda e: [*e, LatticeElement((0,), ())]),
+            "element (0,) is not the union of its simplices",
+        ),
+        # x9 is no positive basis: its 5 simplices make 22 elements, not 32
+        (example_x9(), "is_positive_basis", lambda X: True, "positive basis lattice has 22 != 32"),
+    ],
+    ids=["dropped", "no-empty-set", "short-simplices", "not-a-union", "x9-count"],
+)
+def test_lattice_check_failing_inputs(X, target, patch, detail, monkeypatch):
+    monkeypatch.setattr(f"psskit.suite.{target}", patch)
+    check = next(c for c in run_property_suite(X) if c.name == "lattice_boolean_laws")
+    assert (check.applicable, check.passed, check.detail) == (True, False, detail)
+
+
+def test_verify_on_a_corrupted_lattice_exits_one(tmp_path, monkeypatch, capsys):
+    # a failing check, not an internal error: x9 is no positive basis, and
+    # joining every pair of elements raised KeyError on the missing union
+    monkeypatch.setattr("psskit.suite.build_lattice", _lattice_with(_dropped))
+    path = tmp_path / "x9.json"
+    path.write_text(json.dumps(vecset_json(example_x9())))
+    assert main(["verify", str(path)]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["lattice_boolean_laws"] == {
+        "name": "lattice_boolean_laws",
+        "applicable": True,
+        "passed": False,
+        "detail": "join (0, 1, 3, 4, 5, 6, 7, 8) of an element and a simplex is missing",
+    }
 
 
 @pytest.mark.parametrize(
