@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .conical import cone_decomposition, enumerate_mns, is_cross
 from .errors import PreconditionError, VectorInputError
@@ -56,6 +57,7 @@ _EXIT_OK = 0
 _EXIT_SUITE = 1
 _EXIT_INPUT = 2
 _EXIT_INTERNAL = 3
+_BATCH = 65536  # pieces of report text joined into one write to stdout
 
 
 class CliInputError(Exception):
@@ -106,8 +108,46 @@ def _read_input(path: str | None) -> str:
 
 
 def _emit(report: dict, summary: str) -> None:
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    """Write ``json.dumps(report, indent=2) + "\\n"`` to stdout, then the summary."""
+    pieces: list[str] = []
+    _put_json(report, "\n", pieces)
+    pieces.append("\n")
+    sys.stdout.write("".join(pieces))
     sys.stderr.write(summary + "\n")
+
+
+def _put_json(value, nl: str, pieces: list[str]) -> None:
+    """Append ``value``'s ``indent=2`` JSON text to ``pieces``, nested lines
+    opening with ``nl``; once ``pieces`` holds ``_BATCH``, a list item's end
+    writes them to stdout.  Only str, int, bool, None, list and dict with
+    str keys are written: anything else raises TypeError."""
+    inner = nl + "  "
+    if isinstance(value, str):
+        pieces.append(_json_str(value))
+    elif value is None or isinstance(value, bool):
+        pieces.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        pieces.append(int.__repr__(value))
+    elif not isinstance(value, (list, dict)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    elif not value:
+        pieces.append("[]" if isinstance(value, list) else "{}")
+    elif isinstance(value, dict):
+        for k, (key, item) in enumerate(value.items()):  # _json_str refuses a non-str key
+            pieces.append(("," if k else "{") + inner + _json_str(key) + ": ")
+            _put_json(item, inner, pieces)
+        pieces.append(nl + "}")
+    elif (kinds := set(map(type, value))) in ({int}, {str}):  # one join; a bool is no int
+        text = map(int.__repr__ if kinds == {int} else _json_str, value)
+        pieces.append("[" + inner + ("," + inner).join(text) + nl + "]")
+    else:
+        for k, item in enumerate(value):
+            pieces.append(("," if k else "[") + inner)
+            _put_json(item, inner, pieces)
+            if len(pieces) >= _BATCH:
+                sys.stdout.write("".join(pieces))
+                pieces.clear()
+        pieces.append(nl + "]")
 
 
 def _load_guarded(args) -> VecSet:

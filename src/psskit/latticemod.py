@@ -19,7 +19,7 @@ from operator import or_
 
 from .errors import PreconditionError
 from .simplicial import Simplex, enumerate_simplices, positively_spanning_subsets
-from .spanset import VecSet, _mask, _members, _require
+from .spanset import VecSet, _mask, _members
 
 
 @dataclass(frozen=True)
@@ -95,14 +95,17 @@ class SpanLattice:
 def build_lattice(X: VecSet) -> SpanLattice:
     """Enumerate every positively spanning subset of X.
 
-    The members are the unions of simplices, collected by
+    X must positively span its hull, that is, its simplices must cover it
+    (``spanning_equivalence`` checks the two against each other): read
+    without an LP.  The members are the unions of simplices, collected by
     :func:`positively_spanning_subsets`; each is listed with the simplices
     it contains.  For a positive basis the map to simplex sets is
     injective, so the lattice has exactly 2^(number of simplices) elements.
     """
-    _require(X)
     simplices = enumerate_simplices(X)
     masks = [s.mask for s in simplices]
+    if reduce(or_, masks, 0) != (1 << len(X)) - 1:
+        raise PreconditionError("set does not positively span its hull")
     elements = [
         LatticeElement(_members(m), tuple(j for j, s in enumerate(masks) if s & ~m == 0))
         for m in positively_spanning_subsets(X)

@@ -142,12 +142,14 @@ def positively_spanning_subsets(X: VecSet) -> list[int]:
     These are exactly the unions of simplex subsets (the empty union gives
     the empty set spanning the null space), collected as the union closure
     of the simplex masks: O(simplices * subsets found) ORs.  Ordered by
-    size, then by member tuple.
+    size, then by member tuple: within one size, ascending member tuples
+    are descending masks with their n bits reversed.
     """
     unions = {0}
     for m in [s.mask for s in enumerate_simplices(X)]:
         unions.update([u | m for u in unions])
-    return sorted(unions, key=lambda u: (u.bit_count(), _members(u)))
+    width = f"0{len(X)}b"
+    return sorted(unions, key=lambda u: (u.bit_count(), -int(format(u, width)[::-1], 2)))
 
 
 def factorization_condition(

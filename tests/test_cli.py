@@ -1,6 +1,8 @@
 import io
 import json
 import sys
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -418,6 +420,26 @@ class TestExitCodes:
         code, _, _ = run_cli(["cones"], payload, monkeypatch, capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "rows", [[["1", "0"], ["0", "1"]], [["1", "0"], ["-1", "0"], ["0", "1"]]]
+    )
+    def test_lattice_on_non_pss_is_input_error(self, rows, monkeypatch, capsys):
+        # read from the simplex masks, with the LP precondition's message
+        payload = json.dumps({"dim": 2, "vectors": rows})
+        code, out, err = run_cli(["lattice"], payload, monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: set does not positively span its hull\n"
+
+    def test_unserializable_report_exits_three(self, monkeypatch, capsys):
+        def floating(X):
+            return {"parts": [[0, 1]], "ratio": 0.5}, "reay: float"
+
+        monkeypatch.setitem(cli._INPUT_COMMANDS, "reay", (floating, "telescoping"))
+        payload = json.dumps({"dim": 1, "vectors": [["1"], ["-1"]]})
+        code, _, err = run_cli(["reay"], payload, monkeypatch, capsys)
+        assert code == 3
+        assert err == "internal error: Object of type float is not JSON serializable\n"
+
     def test_verify_failure_exits_one(self, monkeypatch, capsys):
         # force a failing check to exercise the suite-failure exit path
         from psskit.suite import SuiteCheck
@@ -679,6 +701,110 @@ class TestExitCodes:
             code, _, _ = run_cli(["simplices"], payload, monkeypatch, capsys)
             assert code == 0
         assert built.count("psskit") == 1
+
+
+def _emitted(value) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        cli._emit(value, "summary")
+    return out.getvalue()
+
+
+_json_text = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f a\xe9\u2028\U0001f600') | st.characters())
+_json_ints = st.integers() | st.integers(-300, 300)
+_json_values = st.recursive(
+    st.none() | st.booleans() | _json_ints | _json_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(_json_ints | st.booleans(), max_size=6)
+    | st.lists(_json_text, max_size=4)
+    | st.dictionaries(_json_text, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class _CountingSink:
+    """A stdout that keeps only the size of what is written to it."""
+
+    def __init__(self):
+        self.chars = self.writes = self.largest = 0
+
+    def write(self, text: str) -> None:
+        self.chars += len(text)
+        self.writes += 1
+        self.largest = max(self.largest, len(text))
+
+
+class TestWriter:
+    """``_emit`` writes ``json.dumps(report, indent=2) + "\\n"``'s exact text."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.dictionaries(_json_text, _json_values, max_size=5) | _json_values)
+    def test_matches_json_dumps(self, value):
+        assert _emitted(value) == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            {"a": [], "b": {}, "c": [[]], "d": [{}]},
+            {"ints": [1, -2, 3], "bools": [1, True, False, 0], "mixed": [1, "1", None]},
+            {"nested": [[0, [1, {"x": [True]}]], {"y": None}]},
+            [-(10**40), 10**40, 0, -0],
+        ],
+    )
+    def test_shapes_match_json_dumps(self, value):
+        assert _emitted(value) == json.dumps(value, indent=2) + "\n"
+
+    def test_int_past_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+        if limit:
+            sys.set_int_max_str_digits(0)  # as main lifts it around the writer
+        try:
+            big = -int("7" * 5000)
+            value = {"witness": [big, 1], "alone": big, "mixed": [big, True]}
+            assert _emitted(value) == json.dumps(value, indent=2) + "\n"
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize(
+        "value", [{"x": 0.5}, {"x": [1, 2.0]}, {"x": {1, 2}}, [frozenset()], {"x": [[float("nan")]]}]
+    )
+    def test_float_or_set_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            _emitted(value)
+
+    @staticmethod
+    def _lattice_shaped(rows: int) -> dict:
+        elements = [
+            {"subset": [k % 5, 5 + k % 7, 12 + k % 6], "simplices": [k % 3, 3 + k % 4]}
+            for k in range(rows)
+        ]
+        return {"command": "lattice", "size": rows, "elements": elements}
+
+    def _peak_beyond_report(self, rows: int, monkeypatch) -> tuple[int, _CountingSink]:
+        report = self._lattice_shaped(rows)  # built before tracing starts
+        sink = _CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        monkeypatch.setattr(sys, "stderr", _CountingSink())
+        tracemalloc.start()
+        try:
+            cli._emit(report, "lattice")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars == len(json.dumps(report, indent=2)) + 1
+        return peak, sink
+
+    def test_peak_memory_grows_with_one_batch_not_with_the_json(self, monkeypatch):
+        # the text goes out in batches cut at list items, so four times the
+        # rows, several batches each, leave the writer's peak where it was;
+        # a smaller batch keeps the traced run short
+        monkeypatch.setattr(cli, "_BATCH", 4096)
+        small_peak, small = self._peak_beyond_report(3_000, monkeypatch)
+        large_peak, large = self._peak_beyond_report(12_000, monkeypatch)
+        assert small.writes >= 4 and large.writes >= 4 * small.writes - 4
+        assert large_peak - small_peak < small.largest
 
 
 class TestDeterminism:

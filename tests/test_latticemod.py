@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_lp_calls, vecsets
+
 from psskit import (
     VecSet,
     build_lattice,
@@ -12,10 +14,13 @@ from psskit import (
     is_positive_basis,
     is_pss,
 )
+from psskit import simplicial
 from psskit.errors import PreconditionError
 from psskit.latticemod import LatticeElement
-from psskit.simplicial import positively_spanning_subsets
+from psskit.simplicial import Simplex, positively_spanning_subsets
+from psskit.spanset import _members
 from psskit.genlib import (
+    example_x9,
     make_cross,
     make_simplex,
     polygon_example,
@@ -51,6 +56,24 @@ class TestBuild:
     def test_requires_pss(self):
         with pytest.raises(PreconditionError):
             build_lattice(VecSet(2, [[1, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("make", [lambda: make_cross(6), example_x9], ids=["cross6", "x9"])
+    def test_precondition_asks_no_lp(self, make, monkeypatch):
+        X = make()  # fresh: no memoized is_pss to read
+        calls = count_lp_calls(monkeypatch)
+        assert len(build_lattice(X)) == len(positively_spanning_subsets(X))
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(vecsets(max_dim=3, max_size=6))
+    def test_raises_exactly_when_not_pss(self, X):
+        # is_pss asks its LP on a fresh copy of X, whose memo holds nothing
+        try:
+            build_lattice(X)
+        except PreconditionError:
+            assert not is_pss(VecSet(X.dim, X.vectors))
+        else:
+            assert is_pss(VecSet(X.dim, X.vectors))
 
 
 class TestOperations:
@@ -169,6 +192,24 @@ class TestOracle:
         subsets = {e.subset for e in build_lattice(X)}
         assert subsets == self.brute_spanning_subsets(X)
         assert len(subsets) == size
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 18).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(1, 2**n - 1), max_size=9))
+    )
+)
+def test_closure_order_is_size_then_member_tuple(drawn):
+    # the sort key reads masks only; it must give the (size, member tuple) order
+    n, masks = drawn
+    X = VecSet(1, [[k] for k in range(1, n + 1)])
+    fake = [Simplex(_members(m), {}) for m in masks]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplicial, "enumerate_simplices", lambda _: fake)
+        order = positively_spanning_subsets(X)
+    assert order == sorted(set(order), key=lambda u: (u.bit_count(), _members(u)))
+    assert set(masks) <= set(order)
 
 
 def test_closure_size_on_random_18_in_the_plane():

@@ -840,6 +840,8 @@ class TestStructureMemo:
 # a set breaking each spanning precondition, with the one message it gets
 _BROKEN = {
     "quadrant": (VecSet(2, [[1, 0], [0, 1]]), "set does not positively span its hull"),
+    # a simplex that covers part of the set: build_lattice reads this off the masks
+    "partial": (VecSet(2, [[1, 0], [-1, 0], [0, 1]]), "set does not positively span its hull"),
     "dependent": (
         VecSet(2, [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]]),
         "set is not a positive basis",
@@ -854,7 +856,7 @@ _CALLERS = [
     ("restrict_frames_first", lambda S: restrict_frames(S, S), ("quadrant", "line")),
     ("restrict_frames_second", lambda S: restrict_frames(CROSS2, S), ("quadrant", "line")),
     ("extract_positive_basis", extract_positive_basis, ("quadrant",)),
-    ("build_lattice", build_lattice, ("quadrant",)),
+    ("build_lattice", build_lattice, ("quadrant", "partial")),
     ("nonneg_dependency_basis", nonneg_dependency_basis, ("quadrant",)),
     ("characteristic_basis", characteristic_basis, ("quadrant",)),
 ]
