@@ -119,8 +119,9 @@ def _emit(report: dict, summary: str) -> None:
 def _put_json(value, nl: str, pieces: list[str]) -> None:
     """Append ``value``'s ``indent=2`` JSON text to ``pieces``, nested lines
     opening with ``nl``; once ``pieces`` holds ``_BATCH``, a list item's end
-    writes them to stdout.  Only str, int, bool, None, list and dict with
-    str keys are written: anything else raises TypeError."""
+    writes them to stdout.  Only str, int, bool, None, list, tuple (as a
+    list) and dict with str keys are written: anything else raises
+    TypeError."""
     inner = nl + "  "
     if isinstance(value, str):
         pieces.append(_json_str(value))
@@ -128,10 +129,10 @@ def _put_json(value, nl: str, pieces: list[str]) -> None:
         pieces.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
         pieces.append(int.__repr__(value))
-    elif not isinstance(value, (list, dict)):
+    elif not isinstance(value, (list, tuple, dict)):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     elif not value:
-        pieces.append("[]" if isinstance(value, list) else "{}")
+        pieces.append("{}" if isinstance(value, dict) else "[]")
     elif isinstance(value, dict):
         for k, (key, item) in enumerate(value.items()):  # _json_str refuses a non-str key
             pieces.append(("," if k else "{") + inner + _json_str(key) + ": ")
@@ -178,16 +179,14 @@ def cmd_analyze(X: VecSet) -> tuple[dict, str]:
     if basis and full:
         decomp = basis_decomposition(X)
         certificates["basis_decomposition"] = {
-            "basis": list(decomp.basis),
-            "pairs": [
-                {"element": x, "support": list(a)} for x, a in decomp.pairs
-            ],
+            "basis": decomp.basis,
+            "pairs": [{"element": x, "support": a} for x, a in decomp.pairs],
         }
     fact = factorization_condition(X)
     if not fact.ok:
         certificates["factorization_counterexample"] = {
-            "subset": list(fact.witness_subset),
-            "simplex": list(fact.witness_simplex.members),
+            "subset": fact.witness_subset,
+            "simplex": fact.witness_simplex.members,
         }
     report = {
         "dim": X.dim,
@@ -220,7 +219,7 @@ def cmd_simplices(X: VecSet) -> tuple[dict, str]:
     report = {
         "count": len(simplices),
         "simplices": [
-            {"members": list(s.members), "dependency": _coeffs_json(s.dependency)}
+            {"members": s.members, "dependency": _coeffs_json(s.dependency)}
             for s in simplices
         ],
     }
@@ -231,10 +230,7 @@ def cmd_lattice(X: VecSet) -> tuple[dict, str]:
     lattice = build_lattice(X)
     report = {
         "size": len(lattice),
-        "elements": [
-            {"subset": list(e.subset), "simplices": list(e.simplices)}
-            for e in lattice
-        ],
+        "elements": [{"subset": e.subset, "simplices": e.simplices} for e in lattice],
     }
     return report, f"lattice: {len(lattice)} positively spanning subsets"
 
@@ -244,7 +240,7 @@ def cmd_mns(X: VecSet) -> tuple[dict, str]:
     report = {
         "count": len(frames),
         "frames": [
-            {"members": list(f.members), "witness": _vec_json(f.witness)}
+            {"members": f.members, "witness": _vec_json(f.witness)}
             for f in frames
         ],
     }
@@ -256,8 +252,8 @@ def cmd_cones(X: VecSet) -> tuple[dict, str]:
     report = {
         "parts": [
             {
-                "members": list(part),
-                "frame": list(frame.members),
+                "members": part,
+                "frame": frame.members,
                 "witness": _vec_json(frame.witness),
             }
             for part, frame in zip(cover.parts, cover.frames)
@@ -290,10 +286,7 @@ def cmd_gale(X: VecSet) -> tuple[dict, str]:
 
 def cmd_reay(X: VecSet) -> tuple[dict, str]:
     partition = reay_partition(X)
-    report = {
-        "parts": [list(p) for p in partition.parts],
-        "dimensions": list(partition.dimensions),
-    }
+    report = {"parts": partition.parts, "dimensions": partition.dimensions}
     return report, f"reay: {len(partition.parts)} telescoping parts"
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
+from operator import mul
 
 from .errors import PreconditionError, PropertyViolation
 from .ratlin import QVec, solve_linear, solve_nonneg, strict_separator
@@ -110,8 +112,12 @@ def _basis_separator(X: VecSet) -> Callable[[int], QVec | None]:
     dependency gives x_i = -sum(c_a b_a) over A_i with c_a = l_a / l_x_i
     > 0.  With mu_i and sigma_i the least and the sum of these c_a, one
     M = max(sigma_i / mu_i) serves the whole set (l_x_i cancels in the
-    ratio).  The z with z.b_a = 1 on F & B and -M on B - F is one linear
-    solve.  For x_i in a simplex-free F, A_i is not inside F, so
+    ratio).  The z with z.b_a = 1 on F & B and -M on B - F is
+    sum(s_a w_a) over the dual vectors w_a of B (w_a.b_c = 1 if a = c,
+    else 0), solved once per set and scaled by their common denominator
+    den into integer columns; with M = p/q, each coordinate of z is one
+    integer sum of (q or -p) den w_a over den q.  For x_i in a
+    simplex-free F, A_i is not inside F, so
     z.x_i >= (M + 1) mu_i - sigma_i >= mu_i > 0.  Every product z.x over
     F is re-checked: the least must be positive, and z is scaled by it,
     so that the least is exactly 1, the ``strict_separator`` contract.  A
@@ -122,9 +128,14 @@ def _basis_separator(X: VecSet) -> Callable[[int], QVec | None]:
     columns = [[X[a][k] for a in B] for k in range(X.dim)]  # B^T's columns
     held = [[l for a, l in s.dependency.items() if a in B] for s in enumerate_simplices(X)]
     m = max(sum(ls) / min(ls) for ls in held)
+    duals = [solve_linear(columns, [int(a == c) for c in B]) for a in B]
+    den = lcm(*(w.denominator for dual in duals for w in dual))
+    rows = [[w.numerator * (den // w.denominator) for w in ws] for ws in zip(*duals)]
+    p, q = m.numerator, m.denominator
 
     def separate(mask: int) -> QVec | None:
-        z = QVec(solve_linear(columns, [1 if mask >> a & 1 else -m for a in B]))
+        signs = [q if mask >> a & 1 else -p for a in B]
+        z = QVec(tuple(Fraction(sum(map(mul, signs, row)), den * q) for row in rows))
         low = min(z.dot(X[i]) for i in _members(mask))
         return z.scale(1 / low) if low > 0 else None
 

@@ -717,6 +717,9 @@ _json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(_json_ints | st.booleans(), max_size=6)
     | st.lists(_json_text, max_size=4)
+    # a tuple is written as a list, as json.dumps writes it
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(_json_ints | st.booleans(), max_size=6).map(tuple)
     | st.dictionaries(_json_text, inner, max_size=4),
     max_leaves=24,
 )
@@ -750,6 +753,8 @@ class TestWriter:
             {"ints": [1, -2, 3], "bools": [1, True, False, 0], "mixed": [1, "1", None]},
             {"nested": [[0, [1, {"x": [True]}]], {"y": None}]},
             [-(10**40), 10**40, 0, -0],
+            {"rows": [{"subset": (0, 2), "simplices": (1,)}, {"subset": (), "simplices": ()}]},
+            ((), ("a", (1, True)), [(None,)]),
         ],
     )
     def test_shapes_match_json_dumps(self, value):

@@ -35,7 +35,9 @@ from psskit.ratlin import (
     solve_nonneg,
     strict_separator,
 )
+from psskit.simplicial import basis_decomposition
 from psskit.spanset import (
+    _members,
     extract_positive_basis,
     is_positive_basis,
     is_pss,
@@ -44,6 +46,7 @@ from psskit.spanset import (
 )
 
 from conftest import count_lp_calls, oracle_frames_from_simplices, vecsets
+from test_golden import _scaled_basis
 
 
 def _from_psskit(obj) -> bool:
@@ -53,6 +56,24 @@ def _from_psskit(obj) -> bool:
 
 # every full-rank positive basis of the seeded sampler for d = 2..6
 RANDOM_BASES = [(d, n, s) for d in range(2, 7) for n in range(1, min(d, 3) + 1) for s in (0, 1, 15)]
+
+
+def per_subset_separator(X: VecSet):
+    """The closed-form separator with one linear solve per subset: z with
+    z.b_a = 1 on F & B and -M on B - F, scaled so its least product over F
+    is 1, or None when that product is not positive.  The oracle of
+    ``conical._basis_separator``'s integer sums over the dual vectors."""
+    B = basis_decomposition(X).basis
+    columns = [[X[a][k] for a in B] for k in range(X.dim)]
+    held = [[l for a, l in s.dependency.items() if a in B] for s in enumerate_simplices(X)]
+    m = max(sum(ls) / min(ls) for ls in held)
+
+    def separate(mask: int):
+        z = QVec(solve_linear(columns, [1 if mask >> a & 1 else -m for a in B]))
+        low = min(z.dot(X[i]) for i in _members(mask))
+        return z.scale(1 / low) if low > 0 else None
+
+    return separate
 
 
 def s_union_minus_s():
@@ -232,6 +253,45 @@ class TestEnumerateMns:
         separate = conical._basis_separator(X)
         for f in enumerate_mns(X):
             assert f.witness == separate(f.mask), f.members
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *(lambda t=t: random_positive_basis(*t) for t in RANDOM_BASES),
+            *(lambda d=d: make_cross(d) for d in (2, 3, 5)),
+            *(lambda d=d: make_simplex(d) for d in (3, 6)),
+            _scaled_basis,
+        ],
+        ids=[
+            *(f"rpb{d}{n}{s}" for d, n, s in RANDOM_BASES),
+            "cross2", "cross3", "cross5", "simplex3", "simplex6", "scaled16",
+        ],
+    )
+    def test_integer_closed_form_matches_one_solve_per_subset(self, build):
+        # on every nonempty subset, not only on frames: the same witness,
+        # or None exactly where the subset holds a simplex
+        X = build()
+        separate, oracle = conical._basis_separator(X), per_subset_separator(X)
+        simplices = [s.mask for s in enumerate_simplices(X)]
+        for mask in range(1, 1 << len(X)):
+            witness = separate(mask)
+            assert witness == oracle(mask), _members(mask)
+            assert (witness is None) == any(s & ~mask == 0 for s in simplices)
+
+    @pytest.mark.parametrize(
+        "build, frames, solves",
+        [(lambda: make_cross(8), 256, 8), (lambda: make_simplex(13), 14, 13)],
+        ids=["cross8", "simplex13"],
+    )
+    def test_closed_form_solves_once_per_basis_vector(self, build, frames, solves, monkeypatch):
+        # with the simplices and the decomposition memoized, the walk's
+        # only solves are B's d dual vectors; one solve per subset was
+        # 3,288 on cross 8 and 8,192 on simplex 13
+        X = build()
+        basis_decomposition(X)
+        calls = count_lp_calls(monkeypatch, names=("solve_linear",))
+        assert len(enumerate_mns(X)) == frames
+        assert len(calls) <= solves
 
     def test_frame_walk_peak_memory_is_its_output(self):
         # the walk keeps no subset it does not yield, so with the simplices
