@@ -52,7 +52,7 @@ from .simplicial import (
     reay_partition,
     sxy_classify,
 )
-from .latticemod import LatticeElement, SpanLattice, build_lattice
+from .latticemod import SpanLattice, build_lattice
 from .conical import (
     ConeCover,
     ConeFrame,

@@ -49,7 +49,7 @@ from .simplicial import (
     positively_spanning_subsets,
     reay_partition,
 )
-from .spanset import VecSet, is_pss, positively_dependent
+from .spanset import VecSet, _members, is_pss, positively_dependent
 from .suite import run_property_suite, suite_passed
 
 DEFAULT_MAX_SIZE = 18
@@ -230,7 +230,9 @@ def cmd_lattice(X: VecSet) -> tuple[dict, str]:
     lattice = build_lattice(X)
     report = {
         "size": len(lattice),
-        "elements": [{"subset": e.subset, "simplices": e.simplices} for e in lattice],
+        "elements": [
+            {"subset": _members(m), "simplices": lattice._inside(m)} for m in lattice.elements
+        ],
     }
     return report, f"lattice: {len(lattice)} positively spanning subsets"
 

@@ -6,15 +6,16 @@ subsets.  Ordered by inclusion they form a boolean lattice; mapping each
 member Y to its simplex set embeds the lattice into the powerset of the
 simplices of X, bijectively when X is a positive basis.
 
-The members come from the set's memoized union closure, which the
-factorization scan shares.  Each element and simplex carries its subset
-as an int mask with one bit per vector: join ORs two element masks, meet
-ORs the simplex masks inside their AND, and complement ORs those not
-inside an element.  Elements show sorted index tuples.
+An element is its subset.  The lattice keeps the set's memoized union
+closure as it is, int masks with one bit per vector, which the
+factorization scan shares, and a set of those masks for membership: join
+ORs two element masks, meet ORs the simplex masks inside their AND, and
+complement ORs those not inside an element.  At the API an element is its
+sorted index tuple, and :meth:`SpanLattice.simplices` maps it to the
+simplices inside it.
 """
 
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
 
 from .errors import PreconditionError
@@ -22,74 +23,67 @@ from .simplicial import Simplex, enumerate_simplices, positively_spanning_subset
 from .spanset import VecSet, _mask, _members
 
 
-@dataclass(frozen=True)
-class LatticeElement:
-    """A positively spanning subset, keyed by its member indices.
+class SpanLattice:
+    """All positively spanning subsets of one vector set.
 
-    ``simplices`` holds positions into the parent lattice's simplex list;
-    a member always equals the union of its own simplices.
+    ``elements`` holds their masks in size-then-members order; iteration
+    gives them as sorted index tuples.
     """
 
-    subset: tuple[int, ...]
-    simplices: tuple[int, ...]
-
-    @cached_property  # not a field: ==, hash and repr ignore it
-    def mask(self) -> int:
-        return _mask(self.subset)
-
-
-class SpanLattice:
-    """All positively spanning subsets of one vector set."""
-
-    def __init__(self, base: VecSet, simplices: list[Simplex], elements):
+    def __init__(self, base: VecSet, simplices: list[Simplex], elements: list[int]):
         self.base = base
         self.all_simplices = simplices
-        self.elements: list[LatticeElement] = elements
-        self._masks = [s.mask for s in simplices]
-        self._by_mask = {e.mask: e for e in elements}
+        self.elements = elements
+        self._simplex_masks = [s.mask for s in simplices]
+        self._masks = set(elements)
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def __iter__(self):
-        return iter(self.elements)
+        return map(_members, self.elements)
 
-    def element(self, subset) -> LatticeElement:
+    def _element_mask(self, subset) -> int:
         self.base.matrix(subset := tuple(subset))  # PreconditionError on a bad index
-        key = tuple(sorted(subset))
-        found = self._by_mask.get(_mask(key))
-        if found is None or found.subset != key:  # a repeat ORs into one bit
+        mask = _mask(subset)
+        if mask not in self._masks or mask.bit_count() != len(subset):  # a repeat ORs into one bit
             raise PreconditionError("subset is not a lattice element")
-        return found
+        return mask
 
-    def _require(self, *elements: LatticeElement) -> None:
-        for a in elements:  # identity first; an equal hand-built element passes too
-            if (found := self._by_mask.get(a.mask)) is not a and found != a:
-                raise PreconditionError("element does not belong to this lattice")
+    def _inside(self, mask: int) -> tuple[int, ...]:
+        """Positions of the simplices inside the subset ``mask``, unchecked."""
+        return tuple(j for j, s in enumerate(self._simplex_masks) if not s & ~mask)
 
-    def meet(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:
+    def element(self, subset) -> tuple[int, ...]:
+        """``subset`` sorted, once it is checked to be an element."""
+        return _members(self._element_mask(subset))
+
+    def simplices(self, element) -> tuple[int, ...]:
+        """Positions in ``all_simplices`` of the simplices inside ``element``:
+        the embedding into the subsets of the simplices."""
+        return self._inside(self._element_mask(element))
+
+    def meet(self, a, b) -> tuple[int, ...]:
         """Union of the simplices contained in the intersection."""
-        self._require(a, b)
-        both = a.mask & b.mask
-        return self._by_mask[reduce(or_, (s for s in self._masks if not s & ~both), 0)]
+        both = self._element_mask(a) & self._element_mask(b)
+        return _members(reduce(or_, (s for s in self._simplex_masks if not s & ~both), 0))
 
-    def join(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:
+    def join(self, a, b) -> tuple[int, ...]:
         """Plain union; always a lattice member."""
-        self._require(a, b)
-        return self._by_mask[a.mask | b.mask]
+        return _members(self._element_mask(a) | self._element_mask(b))
 
-    def complement(self, a: LatticeElement) -> LatticeElement:
+    def complement(self, a) -> tuple[int, ...]:
         """Union of all simplices not contained in the element."""
-        self._require(a)
-        return self._by_mask[reduce(or_, (s for s in self._masks if s & ~a.mask), 0)]
+        mask = self._element_mask(a)
+        return _members(reduce(or_, (s for s in self._simplex_masks if s & ~mask), 0))
 
     @property
-    def bottom(self) -> LatticeElement:
-        return self._by_mask[0]
+    def bottom(self) -> tuple[int, ...]:
+        return ()
 
     @property
-    def top(self) -> LatticeElement:
-        return self._by_mask[(1 << len(self.base)) - 1]
+    def top(self) -> tuple[int, ...]:
+        return tuple(self.base.indices())
 
 
 def build_lattice(X: VecSet) -> SpanLattice:
@@ -98,16 +92,11 @@ def build_lattice(X: VecSet) -> SpanLattice:
     X must positively span its hull, that is, its simplices must cover it
     (``spanning_equivalence`` checks the two against each other): read
     without an LP.  The members are the unions of simplices, collected by
-    :func:`positively_spanning_subsets`; each is listed with the simplices
-    it contains.  For a positive basis the map to simplex sets is
-    injective, so the lattice has exactly 2^(number of simplices) elements.
+    :func:`positively_spanning_subsets`.  For a positive basis the map to
+    simplex sets is injective, so the lattice has exactly 2^(number of
+    simplices) elements.
     """
     simplices = enumerate_simplices(X)
-    masks = [s.mask for s in simplices]
-    if reduce(or_, masks, 0) != (1 << len(X)) - 1:
+    if reduce(or_, (s.mask for s in simplices), 0) != (1 << len(X)) - 1:
         raise PreconditionError("set does not positively span its hull")
-    elements = [
-        LatticeElement(_members(m), tuple(j for j, s in enumerate(masks) if s & ~m == 0))
-        for m in positively_spanning_subsets(X)
-    ]
-    return SpanLattice(X, simplices, elements)
+    return SpanLattice(X, simplices, positively_spanning_subsets(X))

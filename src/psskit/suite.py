@@ -42,8 +42,9 @@ from .spanset import (
     negatively_independent,
 )
 
-# Bounds the element objects the lattice check builds, not a quadratic loop:
-# unbounded, it took 4.4 to 13.7 s on 18-vector sets of 118,000+ elements.
+# Bounds the check's L·s mask work (each element against each simplex), not
+# element objects: unbounded, it took 8.9 s on an 18-vector set in R^2 with
+# 251,392 elements and 222 simplices, closure memoized (Python 3.11).
 _LATTICE_LIMIT = 12
 
 
@@ -112,22 +113,19 @@ def _check_main_bounds(X: VecSet) -> tuple[bool, str]:
 
 def _check_lattice(X: VecSet) -> tuple[bool, str]:
     # The empty set and each a | s (s a simplex) are elements, and each a is
-    # the union of exactly the simplices inside it: so a -> its simplices maps
-    # the unions of simplices one to one, and onto 2^S when a positive basis
-    # has 2^s; join, meet and complement are then its preimages of set ops.
+    # the union of the simplices inside it: so a -> its simplices maps the
+    # unions of simplices one to one, and onto 2^S when a positive basis has
+    # 2^s; join, meet and complement are then its preimages of set ops.
     lattice = build_lattice(X)
     masks = [s.mask for s in lattice.all_simplices]
-    if 0 not in lattice._by_mask:
+    if 0 not in lattice._masks:
         return False, "the empty set is not an element"
-    for a in lattice:
-        inside = tuple(j for j, s in enumerate(masks) if not s & ~a.mask)
-        if a.simplices != inside:
-            return False, f"element {a.subset} lists simplices {a.simplices}, not {inside}"
-        if a.mask != reduce(or_, (masks[j] for j in inside), 0):
-            return False, f"element {a.subset} is not the union of its simplices"
+    for a in lattice.elements:
+        if a != reduce(or_, (s for s in masks if not s & ~a), 0):
+            return False, f"element {_members(a)} is not the union of its simplices"
         for s in masks:
-            if a.mask | s not in lattice._by_mask:
-                return False, f"join {_members(a.mask | s)} of an element and a simplex is missing"
+            if a | s not in lattice._masks:
+                return False, f"join {_members(a | s)} of an element and a simplex is missing"
     if is_positive_basis(X) and len(lattice) != 1 << len(masks):
         return False, f"positive basis lattice has {len(lattice)} != {1 << len(masks)}"
     return True, f"{len(lattice)} elements"

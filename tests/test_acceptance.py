@@ -313,8 +313,8 @@ def test_criterion_04_lattice_isomorphism():
                     lat.complement(a), lat.complement(b)
                 ):
                     failures.append("de Morgan fails")
-                ordered = set(a.subset) <= set(b.subset)
-                embedded = set(a.simplices) <= set(b.simplices)
+                ordered = set(a) <= set(b)
+                embedded = set(lat.simplices(a)) <= set(lat.simplices(b))
                 if ordered != embedded:
                     failures.append("order does not match simplex-set order")
         if len(elements) <= 16:

@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from conftest import vecsets
 
 from psskit import cli
 from psskit.cli import CliInputError, main, parse_vecset, vecset_json
-from psskit import VecSet
+from psskit import QVec, VecSet
 from psskit.errors import VectorInputError
 from psskit.genlib import example_x9, make_cross, polygon_example
 
@@ -810,6 +812,47 @@ class TestWriter:
         large_peak, large = self._peak_beyond_report(12_000, monkeypatch)
         assert small.writes >= 4 and large.writes >= 4 * small.writes - 4
         assert large_peak - small_peak < small.largest
+
+
+@st.composite
+def _spanning_sets(draw):
+    """A drawn set with minus the sum of its vectors added, so that one
+    dependency weights every vector positively and the set positively spans
+    its hull; the negations of some vectors, inside that hull, add simplices."""
+    X = draw(vecsets(max_dim=3, max_size=5))
+    last = -sum(X, QVec.zero(X.dim))
+    assume(not last.is_zero())
+    negated = draw(st.sets(st.sampled_from(X.vectors)))
+    return VecSet(X.dim, list(dict.fromkeys([*X, last, *(-v for v in negated)])))
+
+
+def _report(command: str, X: VecSet) -> dict:
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(io.StringIO()):
+        mp.setattr(sys, "stdin", io.StringIO(json.dumps(vecset_json(X))))
+        assert main([command]) == 0
+    return json.loads(out.getvalue())
+
+
+class TestLatticeReport:
+    @settings(max_examples=60, deadline=None)
+    @given(_spanning_sets())
+    def test_rows_are_the_unions_of_simplices(self, X):
+        # read over plain sets from the printed simplices, not through the lattice
+        simplices = [set(s["members"]) for s in _report("simplices", X)["simplices"]]
+        report = _report("lattice", X)
+        rows = report["elements"]
+        for row in rows:
+            subset = set(row["subset"])
+            inside = [j for j, s in enumerate(simplices) if s <= subset]
+            assert row["simplices"] == inside
+            assert subset == set().union(*(simplices[j] for j in inside))
+        keys = [(len(row["subset"]), tuple(row["subset"])) for row in rows]
+        assert keys == sorted(set(keys))
+        found = {frozenset(row["subset"]) for row in rows}
+        assert frozenset() in found
+        assert all(a | s in found for a in found for s in simplices)
+        assert report["size"] == len(rows) == _report("analyze", X)["counts"]["lattice_elements"]
 
 
 class TestDeterminism:

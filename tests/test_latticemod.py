@@ -16,7 +16,6 @@ from psskit import (
 )
 from psskit import simplicial
 from psskit.errors import PreconditionError
-from psskit.latticemod import LatticeElement
 from psskit.simplicial import Simplex, positively_spanning_subsets
 from psskit.spanset import _members
 from psskit.genlib import (
@@ -36,12 +35,12 @@ def s_union_minus_s():
 class TestBuild:
     def test_single_simplex(self):
         lat = build_lattice(make_simplex(2))
-        assert [e.subset for e in lat] == [(), (0, 1, 2)]
+        assert list(lat) == [(), (0, 1, 2)]
 
     def test_cross(self):
         lat = build_lattice(make_cross(2))
         assert len(lat) == 4
-        assert [e.subset for e in lat] == [(), (0, 1), (2, 3), (0, 1, 2, 3)]
+        assert list(lat) == [(), (0, 1), (2, 3), (0, 1, 2, 3)]
 
     def test_embedding_strict_on_doubled_simplex(self):
         X = s_union_minus_s()
@@ -50,7 +49,7 @@ class TestBuild:
         assert n_simplices == 5  # the two triangles and three opposite pairs
         assert len(lat) < 2**n_simplices
         # the map to simplex subsets stays injective
-        keys = [e.simplices for e in lat]
+        keys = [lat.simplices(e) for e in lat]
         assert len(set(keys)) == len(keys)
 
     def test_requires_pss(self):
@@ -83,10 +82,10 @@ class TestOperations:
         self.s2 = self.lat.element((2, 3))
 
     def test_meet_disjoint(self):
-        assert self.lat.meet(self.s1, self.s2).subset == ()
+        assert self.lat.meet(self.s1, self.s2) == ()
 
     def test_join(self):
-        assert self.lat.join(self.s1, self.s2).subset == (0, 1, 2, 3)
+        assert self.lat.join(self.s1, self.s2) == (0, 1, 2, 3)
 
     def test_complement(self):
         assert self.lat.complement(self.s1) == self.s2
@@ -106,16 +105,20 @@ class TestOperations:
         ],
     )
     def test_element_rejects_what_is_not_a_member(self, subset):
-        with pytest.raises(PreconditionError):
-            self.lat.element(subset)
+        for take in (
+            self.lat.element,
+            self.lat.simplices,
+            self.lat.complement,
+            lambda a: self.lat.meet(self.s1, a),
+            lambda a: self.lat.join(a, self.s2),
+        ):
+            with pytest.raises(PreconditionError):
+                take(subset)
 
-    def test_hand_built_equal_element_accepted(self):
-        # membership is tested by identity first, then by equality
-        copy = LatticeElement(self.s1.subset, self.s1.simplices)
-        assert copy is not self.s1
-        assert self.lat.meet(copy, self.s2).subset == ()
-        assert self.lat.join(copy, self.s2).subset == (0, 1, 2, 3)
-        assert self.lat.complement(copy) == self.s2
+    def test_an_element_is_its_sorted_subset(self):
+        assert self.lat.element([3, 2]) == self.s2 == (2, 3)
+        assert self.lat.simplices((3, 2)) == (1,)
+        assert (self.lat.bottom, self.lat.top) == ((), (0, 1, 2, 3))
 
     def test_mixed_lattices_rejected(self):
         other = build_lattice(make_cross(2))
@@ -136,9 +139,9 @@ class TestIdentities:
                 meet = lat.meet(a, b)
                 join = lat.join(a, b)
                 # simplices of the intersection = intersection of simplices
-                assert set(meet.simplices) == set(a.simplices) & set(b.simplices)
+                assert set(lat.simplices(meet)) == set(lat.simplices(a)) & set(lat.simplices(b))
                 # simplices of the union contain the union of simplices
-                assert set(join.simplices) >= set(a.simplices) | set(b.simplices)
+                assert set(lat.simplices(join)) >= set(lat.simplices(a)) | set(lat.simplices(b))
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 30))
@@ -189,7 +192,7 @@ class TestOracle:
     )
     def test_elements_are_the_positively_spanning_subsets(self, make, size):
         X = make()
-        subsets = {e.subset for e in build_lattice(X)}
+        subsets = set(build_lattice(X))
         assert subsets == self.brute_spanning_subsets(X)
         assert len(subsets) == size
 

@@ -7,7 +7,7 @@ import pytest
 from psskit import VecSet, run_property_suite, simplicial, spanset, suite_passed
 from psskit.cli import main, vecset_json
 from psskit.conical import ConeFrame, enumerate_mns
-from psskit.latticemod import LatticeElement, SpanLattice, build_lattice
+from psskit.latticemod import SpanLattice, build_lattice
 from psskit.simplicial import Simplex, basis_decomposition, enumerate_simplices
 from psskit.suite import _check_lattice, _check_simplex_members
 from psskit.genlib import (
@@ -151,47 +151,24 @@ def _count_mask_calls(monkeypatch) -> list:
 
 
 def test_lattice_check_reads_each_mask_once(monkeypatch):
-    # Each element and simplex carries its mask, built once from its tuple:
-    # 64 + 6 on make_cross(6), where rebuilding the masks of every pair of
-    # elements from their tuples made 37,464 calls.
+    # An element is the closure's mask and each simplex carries its mask,
+    # built once from its tuple: 6 on make_cross(6), where element objects
+    # made 64 + 6 and rebuilding the masks of every pair of elements from
+    # their tuples made 37,464 calls.
     X = make_cross(6)
     calls = _count_mask_calls(monkeypatch)
     assert _check_lattice(X) == (True, "64 elements")
-    made = len(calls)
-    lattice = build_lattice(X)
-    assert made <= len(lattice) + len(lattice.all_simplices) == 70
+    assert len(calls) <= len(enumerate_simplices(X)) == 6
 
 
-def test_lattice_check_compares_no_elements(monkeypatch):
-    # membership is read by mask and meet, join and complement are never
-    # called, so no two elements are compared; the complement laws made 192
-    # comparisons on make_cross(6), and the membership test before them 16,960
-    X = make_cross(6)
-    calls = []
-    original = LatticeElement.__eq__
-    monkeypatch.setattr(
-        LatticeElement, "__eq__", lambda a, b: calls.append(1) or original(a, b)
-    )
-    assert _check_lattice(X) == (True, "64 elements")
-    assert len(calls) == 0
-
-
-class _CountedIndex(dict):
-    def __init__(self, index, lookups):
-        super().__init__(index)
+class _CountedSet(set):
+    def __init__(self, masks, lookups):
+        super().__init__(masks)
         self.lookups = lookups
 
     def __contains__(self, key):
         self.lookups.append(key)
         return super().__contains__(key)
-
-    def __getitem__(self, key):
-        self.lookups.append(key)
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.lookups.append(key)
-        return super().get(key, default)
 
 
 def test_lattice_check_is_linear_in_the_lattice(monkeypatch):
@@ -202,11 +179,11 @@ def test_lattice_check_is_linear_in_the_lattice(monkeypatch):
 
     def counted_build(X):
         lattice = build_lattice(X)
-        lattice._by_mask = _CountedIndex(lattice._by_mask, lookups)
+        lattice._masks = _CountedSet(lattice._masks, lookups)
         return lattice
 
     monkeypatch.setattr("psskit.suite.build_lattice", counted_build)
-    for name in ("meet", "join", "complement"):
+    for name in ("element", "simplices", "meet", "join", "complement"):
         original = getattr(SpanLattice, name)
         monkeypatch.setattr(
             SpanLattice,
@@ -229,12 +206,7 @@ def _lattice_with(edit):
 
 
 def _dropped(elements):
-    return [e for e in elements if e is not elements[-2]]
-
-
-def _short_top(elements):
-    top = elements[-1]
-    return [*elements[:-1], LatticeElement(top.subset, top.simplices[1:])]
+    return [*elements[:-2], elements[-1]]
 
 
 @pytest.mark.parametrize(
@@ -253,23 +225,17 @@ def _short_top(elements):
             _lattice_with(lambda e: e[1:]),
             "the empty set is not an element",
         ),
+        # (0,) holds no simplex, so it is not the union of those inside it
         (
             make_cross(3),
             "build_lattice",
-            _lattice_with(_short_top),
-            "element (0, 1, 2, 3, 4, 5) lists simplices (1, 2), not (0, 1, 2)",
-        ),
-        # (0,) lists the simplices inside it, none, but is not their union
-        (
-            make_cross(3),
-            "build_lattice",
-            _lattice_with(lambda e: [*e, LatticeElement((0,), ())]),
+            _lattice_with(lambda e: [*e, 0b1]),
             "element (0,) is not the union of its simplices",
         ),
         # x9 is no positive basis: its 5 simplices make 22 elements, not 32
         (example_x9(), "is_positive_basis", lambda X: True, "positive basis lattice has 22 != 32"),
     ],
-    ids=["dropped", "no-empty-set", "short-simplices", "not-a-union", "x9-count"],
+    ids=["dropped", "no-empty-set", "not-a-union", "x9-count"],
 )
 def test_lattice_check_failing_inputs(X, target, patch, detail, monkeypatch):
     monkeypatch.setattr(f"psskit.suite.{target}", patch)
@@ -304,21 +270,16 @@ def test_verify_on_a_corrupted_lattice_exits_one(tmp_path, monkeypatch, capsys):
             lambda X: enumerate_mns(X)[-1],
             lambda f: ConeFrame(f.members, f.witness),
         ),
-        (
-            lambda X: list(build_lattice(X))[-2],
-            lambda e: LatticeElement(e.subset, e.simplices),
-        ),
     ],
-    ids=["Simplex", "ConeFrame", "LatticeElement"],
+    ids=["Simplex", "ConeFrame"],
 )
 def test_subset_objects_carry_their_mask(pick, rebuild):
     # the mask is not a field: a hand-built object equals the enumerated
     # one whether or not either has read it, and repr does not show it
     x = pick(example_x9())
-    members = x.subset if isinstance(x, LatticeElement) else x.members
     hand = rebuild(x)
     assert hand == x
-    assert x.mask == spanset._mask(members) != 0
+    assert x.mask == spanset._mask(x.members) != 0
     assert hand == x and hand.mask == x.mask
     assert "mask" not in repr(x)
 
